@@ -6,6 +6,7 @@ depend on how blocks would be scheduled across workers.  Calibrations
 can be cached to disk in a small versioned binary format.
 """
 
+import functools
 import hashlib
 import math
 import struct
@@ -15,15 +16,21 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
+from .core import block_substreams, power_sums
 from .errors import UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 from .scores import ScoreFunction
-from .univariate import (
+# lbi_exact and lbi_monte_carlo are no longer called here but stay importable
+# from this module: perfbench's tracer wraps them under these names
+from .univariate import (  # noqa: F401
     QuadratureConfig,
+    closed_form_kernel,
+    exact_kernel,
     lbi_exact,
     lbi_monte_carlo,
+    mc_kernel,
+    profile_likelihood_statistic,
 )
 
 __all__ = [
@@ -93,29 +100,21 @@ def _standardize_batch(x: np.ndarray) -> np.ndarray:
     return (x - mean) / s
 
 
-def _moments_batch(z: np.ndarray, orders) -> dict:
-    return {r: (z**r).mean(axis=1) for r in orders}
-
-
 def closed_form_weights(coeffs: np.ndarray, n: int) -> dict:
     """Weight per moment order of the explicit polynomial-score statistic."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    k = coeffs.size - 1
-    weights: dict = {}
-    for j in range(3, k + 1):
-        c = coeffs[k - j]
-        if c == 0.0:
-            continue
-        for l in range(0, j - 2, 2):
-            w = (
-                c
-                * (2.0 / n) ** ((n + j - 2) / 2.0)
-                * math.comb(j, l)
-                * math.gamma((l + 1) / 2.0)
-                * math.gamma((n + j - l - 1) / 2.0)
-            )
-            weights[j - l] = weights.get(j - l, 0.0) + w
-    return weights
+    kappa = closed_form_kernel(coeffs, n).kappa
+    return {order: n * k for order, k in enumerate(kappa) if k != 0.0}
+
+
+def _kernel_batch(build: Callable) -> Callable:
+    """compute_batch of a kernel statistic, one ``build(n)`` kernel per n."""
+    kernel_for = functools.cache(build)
+
+    def compute(x):
+        z = _standardize_batch(x)
+        return kernel_for(z.shape[1])(z)
+
+    return compute
 
 
 def make_statistic(
@@ -133,10 +132,9 @@ def make_statistic(
     lbi-mc, profile (the last five need ``score``).  Multivariate: mvn
     with ``group`` in {gl, lt}.
     """
-    if name == "skew":
-        return StatisticSpec("skew", 1, lambda x: (_standardize_batch(x) ** 3).mean(axis=1))
-    if name == "kurt":
-        return StatisticSpec("kurt", 1, lambda x: (_standardize_batch(x) ** 4).mean(axis=1))
+    if name in ("skew", "kurt"):
+        k = 3 if name == "skew" else 4
+        return StatisticSpec(name, 1, lambda x: power_sums(_standardize_batch(x), k)[:, k] / x.shape[1])
     if name == "mvn":
         if group not in ("gl", "lt"):
             raise ValueError("group must be 'gl' or 'lt'")
@@ -156,51 +154,17 @@ def make_statistic(
 
         return StatisticSpec(label, 1, compute_approx)
     if name == "profile":
-        if score.derivative is None:
-            deriv = lambda z, _s=score: (
-                np.asarray(_s(z + 1e-6)) - np.asarray(_s(z - 1e-6))
-            ) / 2e-6
-        else:
-            deriv = score.derivative
-
-        def compute_profile(x, _d=deriv):
-            z = _standardize_batch(x)
-            return (z * np.asarray(_d(z))).sum(axis=1)
-
-        return StatisticSpec(label, 1, compute_profile)
-    if name == "lbi-closed":
-        if score.polynomial_coeffs is None:
-            raise ValueError("lbi-closed needs a polynomial score")
-        coeffs = np.asarray(score.polynomial_coeffs, dtype=float)
-
-        def compute_closed(x, _c=coeffs):
-            z = _standardize_batch(x)
-            w = closed_form_weights(_c, z.shape[1])
-            vals = np.zeros(z.shape[0])
-            for order, weight in w.items():
-                vals += weight * (z**order).mean(axis=1)
-            return vals
-
-        return StatisticSpec(label, 1, compute_closed)
-    if name == "lbi-exact":
-
-        def compute_exact(x, _s=score, _cfg=quad_cfg):
-            z = _standardize_batch(x)
-            return np.array(
-                [lbi_exact(zi, _s, _cfg, check=False).value for zi in z]
-            )
-
-        return StatisticSpec(label, 1, compute_exact)
-    if name == "lbi-mc":
-
-        def compute_mc(x, _s=score):
-            z = _standardize_batch(x)
-            return np.array(
-                [lbi_monte_carlo(zi, _s, mc_reps, mc_seed).value for zi in z]
-            )
-
-        return StatisticSpec(label, 1, compute_mc)
-    raise ValueError(f"unknown statistic '{name}'")
+        return StatisticSpec(label, 1, lambda x: profile_likelihood_statistic(_standardize_batch(x), score))
+    kernels = {
+        "lbi-closed": lambda n: closed_form_kernel(score.polynomial_coeffs, n),
+        "lbi-exact": lambda n: exact_kernel(score, n, quad_cfg),
+        "lbi-mc": lambda n: mc_kernel(score, n, mc_reps, mc_seed),
+    }
+    if name not in kernels:
+        raise ValueError(f"unknown statistic '{name}'")
+    if name == "lbi-closed" and score.polynomial_coeffs is None:
+        raise ValueError("lbi-closed needs a polynomial score")
+    return StatisticSpec(label, 1, _kernel_batch(kernels[name]))
 
 
 def calibrate_null(
@@ -218,16 +182,11 @@ def calibrate_null(
         warnings.warn("fewer than 1e4 replications; critical values are coarse")
     if statistic.p > 0:
         p = statistic.p
-    values = np.empty(reps)
-    done = 0
-    block_idx = 0
-    while done < reps:
-        m = min(BLOCK_SIZE, reps - done)
-        rng = np.random.default_rng([seed, block_idx])
-        shape = (m, n) if p == 1 else (m, n, p)
-        values[done : done + m] = statistic.compute_batch(rng.standard_normal(shape))
-        done += m
-        block_idx += 1
+    shape = (n,) if p == 1 else (n, p)
+    values = np.concatenate([
+        statistic.compute_batch(rng.standard_normal((m, *shape)))
+        for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)
+    ])
     values.sort()
     return NullCalibration(
         statistic_label=statistic.label,
@@ -330,7 +289,9 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng=None, size=None) -> np
         b = 1.0 / theta  # delta*gamma of the symmetric mixing law
         if not 0.0 < b <= 1e3:
             raise UnsupportedShape("shape outside the validated mixing envelope")
-        y = sps.geninvgauss.rvs(spec.lam, b, size=size, random_state=rng)
+        from scipy.stats import geninvgauss  # deferred: costs ~0.1 s of CLI start-up
+
+        y = geninvgauss.rvs(spec.lam, b, size=size, random_state=rng)
         return -spec.beta + spec.beta * y + np.sqrt(y) * rng.standard_normal(size)
     raise UnsupportedShape(f"unknown family '{fam}'")
 
@@ -358,18 +319,11 @@ def power_curve(
     crit = calibration.critical_value(level)
     out = []
     for gi, shape in enumerate(shapes):
-        rejected = 0
-        done = 0
-        block_idx = 0
-        while done < reps:
-            m = min(BLOCK_SIZE, reps - done)
-            rng = np.random.default_rng([seed, gi, block_idx])
-            spec = AlternativeSpec(family=family, shape=shape, beta=beta, lam=lam)
-            batch = sample_alternative(spec, n, rng, size=(m, n))
-            vals = statistic.compute_batch(batch)
-            rejected += int(np.sum(vals > crit))
-            done += m
-            block_idx += 1
+        spec = AlternativeSpec(family=family, shape=shape, beta=beta, lam=lam)
+        rejected = sum(
+            int(np.sum(statistic.compute_batch(sample_alternative(spec, n, rng, size=(m, n))) > crit))
+            for rng, m in block_substreams((seed, gi), reps, BLOCK_SIZE)
+        )
         pw = rejected / reps
         out.append(
             {

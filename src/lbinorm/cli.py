@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 input error, 3 numerical non-convergence.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import secrets
@@ -242,10 +243,11 @@ def run_power(args) -> list:
         cal,
         beta=args.family_beta,
     )
-    writer = csv.writer(sys.stdout if not args.out else open(args.out, "w", newline=""))
-    writer.writerow(["shape", "power", "se"])
-    for row in rows:
-        writer.writerow([row["shape"], f"{row['power']:.6f}", f"{row['se']:.6f}"])
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["shape", "power", "se"])
+        for row in rows:
+            writer.writerow([row["shape"], f"{row['power']:.6f}", f"{row['se']:.6f}"])
     return rows
 
 
