@@ -9,6 +9,7 @@ can be cached to disk in a small versioned binary format.
 import functools
 import hashlib
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import block_substreams, power_sums
-from .errors import UnsupportedShape
+from .errors import ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 from .scores import ScoreFunction
 # lbi_exact and lbi_monte_carlo are no longer called here but stay importable
@@ -50,6 +51,7 @@ __all__ = [
 BLOCK_SIZE = 10_000
 _MAGIC = b"LBICAL1"
 _VERSION = 1
+_HEADER = "<7sB16sIIQQ"
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,13 @@ def calibrate_null(
 
 
 def p_value(cal: NullCalibration, observed: float) -> float:
-    """One-sided add-one p-value (r+1)/(reps+1), r = #{null >= observed}."""
+    """One-sided add-one p-value (r+1)/(reps+1), r = #{null >= observed}.
+
+    A non-finite observed value raises ScoreOverflow: it is a failed
+    evaluation, not an extreme one.
+    """
+    if not math.isfinite(observed):
+        raise ScoreOverflow(f"observed statistic is not finite ({observed})")
     v = cal.sorted_null_values
     r = v.size - np.searchsorted(v, observed, side="left")
     return float((r + 1) / (v.size + 1))
@@ -345,10 +353,14 @@ def cache_path(directory, statistic_label: str, n: int, p: int, reps: int, seed:
 
 
 def save_calibration(cal: NullCalibration, path) -> Path:
-    """Write a calibration cache: LBICAL1 header then float64-LE values."""
+    """Write a calibration cache: LBICAL1 header then float64-LE values.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``: a reader sees the old file or the whole new one.
+    """
     path = Path(path)
     header = struct.pack(
-        "<7sB16sIIQQ",
+        _HEADER,
         _MAGIC,
         _VERSION,
         _label_hash(cal.statistic_label),
@@ -359,15 +371,23 @@ def save_calibration(cal: NullCalibration, path) -> Path:
     )
     payload = np.ascontiguousarray(cal.sorted_null_values, dtype="<f8").tobytes()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(header + payload)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(header + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def load_calibration(path, statistic_label: str) -> NullCalibration:
     """Read a calibration cache, verifying magic, version and label hash."""
     raw = Path(path).read_bytes()
-    head = struct.calcsize("<7sB16sIIQQ")
-    magic, version, lhash, n, p, reps, seed = struct.unpack("<7sB16sIIQQ", raw[:head])
+    head = struct.calcsize(_HEADER)
+    if len(raw) < head:
+        raise ValueError(f"{path}: calibration cache shorter than its {head}-byte header")
+    magic, version, lhash, n, p, reps, seed = struct.unpack(_HEADER, raw[:head])
     if magic != _MAGIC or version != _VERSION:
         raise ValueError("not a calibration cache file")
     if lhash != _label_hash(statistic_label):

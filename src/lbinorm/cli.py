@@ -7,6 +7,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import secrets
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration as cal_mod
+from .core import standardize
 from .errors import (
     DegenerateSample,
     IncompatibleSelection,
@@ -102,7 +104,10 @@ def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> Scor
 
 
 def read_csv(path) -> np.ndarray:
-    """Read a numeric CSV; a non-numeric first row is treated as a header."""
+    """Read a numeric CSV; a non-numeric first row is treated as a header.
+
+    A cell that parses to a non-finite number (nan, inf) is a ParseError.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
@@ -123,11 +128,14 @@ def read_csv(path) -> np.ndarray:
         vals = []
         for ci, cell in enumerate(row, start=1):
             try:
-                vals.append(float(cell))
+                val = float(cell)
             except ValueError:
                 raise ParseError(
                     f"{path}: non-numeric value {cell!r} at row {ri}, column {ci}"
                 ) from None
+            if not math.isfinite(val):
+                raise ParseError(f"{path}: non-finite value {cell!r} at row {ri}, column {ci}")
+            vals.append(val)
         data.append(vals)
     arr = np.asarray(data)
     return arr[:, 0] if arr.shape[1] == 1 else arr
@@ -178,6 +186,8 @@ def run_test(args) -> dict:
         )
     if not multivariate and args.test == "mvn":
         raise IncompatibleSelection("--test mvn requires multi-column input")
+    if not multivariate:
+        standardize(data)  # n >= 3 and a non-constant sample, or an input error
     n = data.shape[0]
     p = data.shape[1] if multivariate else 1
     stat, score = _build_statistic(args, n)

@@ -11,7 +11,6 @@ Wishart check back the triangular statistic with independent samplers.
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularCovariance
 
@@ -43,11 +42,10 @@ def whiten(X) -> np.ndarray:
     S = D.T @ D / n
     try:
         T = np.linalg.cholesky(S)
+        # z_i = T^{-1} (x_i - xbar): solve T Z' = D'
+        return np.linalg.solve(T, D.T).T
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("sample covariance is not positive definite") from exc
-    # z_i = T^{-1} (x_i - xbar): solve T Z' = D'
-    Z = solve_triangular(T, D.T, lower=True).T
-    return Z
 
 
 def stat_gl(Z) -> float:

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.integrate import quad
 
 from .core import hermite_coefficients
 from .errors import BothCumulantsZero, InvalidDensity, NotSquareIntegrable
@@ -136,6 +135,8 @@ def score_contamination(g: Callable, label: str = "contam", tail_class: str = TA
     ``g`` must be a vectorized probability density; it is checked to be
     nonnegative on a grid and to integrate to 1 within 1e-6.
     """
+    from scipy.integrate import quad  # deferred: keeps scipy out of CLI start-up
+
     mass, _ = quad(lambda x: float(g(x)), -np.inf, np.inf, limit=200)
     if abs(mass - 1.0) > 1e-6:
         raise InvalidDensity(f"density integrates to {mass:.8f}, not 1")

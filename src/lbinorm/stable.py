@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 
 from .errors import AlphaOne, InversionUnconverged
 from .scores import TAIL_SUBGAUSSIAN_DOMINATING, ScoreFunction
@@ -35,6 +34,11 @@ __all__ = [
     "score_stable",
     "normal_var2_pdf",
 ]
+
+# Points per chunk of a score evaluation: bounds its temporaries at any n.
+SCORE_CHUNK = 2**16
+# Elements of one (points x frequency nodes) phase block of the inversion.
+PHASE_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,12 @@ def _panel_edges(max_abs_x: float, cfg: InversionConfig, nodes: int) -> np.ndarr
 
 
 def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: int) -> np.ndarray:
-    """Evaluate the inversion integral for an array of x with given node budget."""
+    """Evaluate the inversion integral for an array of x with given node budget.
+
+    The panels are sized by the largest |x| of the whole call; the phase
+    matrix is built for at most ``PHASE_BLOCK`` (point, node) pairs at once.
+    """
+    x = x.ravel()
     edges = _panel_edges(float(np.max(np.abs(x), initial=0.0)), cfg, nodes)
     u, w = leggauss(16)
     # all panel nodes as one flat array
@@ -135,12 +144,16 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
     with np.errstate(divide="ignore"):
         logt = np.where(tt > 0.0, np.log(tt), 0.0)
     damp = np.exp(-(tt * tt))
-    f_cos = tt * tt * logt * damp
-    phase = np.outer(x, tt)
-    vals = (1.0 / math.pi) * (np.cos(phase) @ (ww * f_cos))
-    if beta != 0.0:
-        f_sin = (tt - tt * tt) * damp
-        vals = vals + (beta / 2.0) * (np.sin(phase) @ (ww * f_sin))
+    w_cos = ww * (tt * tt * logt * damp)
+    w_sin = ww * ((tt - tt * tt) * damp)
+    vals = np.empty(x.size)
+    rows = max(1, PHASE_BLOCK // tt.size)
+    for lo in range(0, x.size, rows):
+        phase = np.outer(x[lo:lo + rows], tt)
+        v = (1.0 / math.pi) * (np.cos(phase) @ w_cos)
+        if beta != 0.0:
+            v = v + (beta / 2.0) * (np.sin(phase) @ w_sin)
+        vals[lo:lo + rows] = v
     return vals
 
 
@@ -150,11 +163,14 @@ def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None
     Real by construction (the even/odd symmetry of the integrand is used
     exactly); even in x when beta = 0.  With ``check`` the node count is
     doubled and a relative drift above 1e-8 raises InversionUnconverged.
+    A non-finite x raises ValueError (an infinite one has no panel width).
     """
     if abs(beta) > 1.0:
         raise ValueError("|beta| must be <= 1")
     cfg = cfg or InversionConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError("stable density derivative needs finite x")
     coarse = _inversion_values(x, beta, cfg, cfg.nodes)
     if not check:
         return coarse if coarse.size > 1 else float(coarse[0])
@@ -177,30 +193,49 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     """Stable-family score: density derivative divided by the N(0,2) density.
 
     Values are precomputed on a uniform grid and interpolated with a
-    cubic spline; evaluations outside the grid fall back to direct
-    inversion (batched).  The tail grows like exp(x^2/4)/|x|^3, so the
-    score is not square integrable under the Gaussian weight.
+    cubic spline, evaluated by Horner in the grid cell found by division
+    (no search); evaluations outside the grid fall back to direct
+    inversion, all of one call's in one batch.  The tail grows like
+    exp(x^2/4)/|x|^3, so the score is not square integrable under the
+    Gaussian weight.
     """
+    from scipy.interpolate import CubicSpline  # deferred: keeps scipy out of CLI start-up
+
     cfg = cfg or InversionConfig()
     half = cfg.grid_halfwidth
     npts = int(round(2.0 * half / cfg.grid_step)) + 1
     grid = np.linspace(-half, half, npts)
     dd = stable_density_derivative(grid, beta, cfg)
-    spline = CubicSpline(grid, np.asarray(dd) / normal_var2_pdf(grid))
+    # cubic, quadratic, linear and constant coefficient of each grid cell
+    c3, c2, c1, c0 = CubicSpline(grid, np.asarray(dd) / normal_var2_pdf(grid)).c
+    knots, step = grid[:-1], (grid[-1] - grid[0]) / (npts - 1)
 
-    def evaluate(x, _spline=spline, _beta=beta, _cfg=cfg, _half=half):
+    def evaluate(x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        inside = np.abs(x) <= _half
-        out[inside] = _spline(x[inside])
-        if np.any(~inside):
-            xo = x[~inside]
-            out[~inside] = np.asarray(
-                stable_density_derivative(xo, _beta, _cfg, check=False)
+        flat = x.ravel()
+        out = np.empty_like(flat)
+        outside = []
+        for lo in range(0, flat.size, SCORE_CHUNK):
+            xc = flat[lo:lo + SCORE_CHUNK]
+            inside = np.abs(xc) <= half
+            xs = np.where(inside, xc, 0.0)
+            cell = ((xs + half) / step).astype(np.intp)
+            np.clip(cell, 0, npts - 2, out=cell)
+            dx = xs - knots.take(cell)
+            val = c3.take(cell)
+            for c in (c2, c1, c0):
+                val *= dx
+                val += c.take(cell)
+            out[lo:lo + SCORE_CHUNK] = val
+            if not inside.all():
+                outside.append(lo + np.flatnonzero(~inside))
+        if outside:
+            idx = np.concatenate(outside)
+            xo = flat[idx]
+            out[idx] = np.asarray(
+                stable_density_derivative(xo, beta, cfg, check=False)
             ) / normal_var2_pdf(xo)
-        return float(out[0]) if scalar else out
+        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
     return ScoreFunction(
         evaluate=evaluate,

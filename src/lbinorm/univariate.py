@@ -8,6 +8,7 @@ uses the analytic moments of that weight and drops degree <= 2 terms, so
 the two differ by a fixed affine map per (n, score) with positive slope.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -123,11 +124,13 @@ def _node_kernel(score: ScoreFunction, a, b, w, block: int) -> LbiKernel:
     return LbiKernel(kappa=kappa, score=score, nodes=(a, b, w), block=block)
 
 
+@functools.lru_cache(maxsize=32)
 def _ab_rule(n: int, cfg: QuadratureConfig):
     """Quadrature nodes/weights absorbing the exp(-n(a^2+b^2)/2) b^(n-2) weight.
 
     a-integral: Gauss-Hermite after a = u*sqrt(2/n); b-integral:
     Gauss-Legendre on [0, b_max] with the weight kept in the integrand.
+    Cached per (n, cfg); the returned arrays are read-only.
     """
     u, wu = hermgauss(cfg.a_nodes)
     a = u * math.sqrt(2.0 / n)
@@ -136,6 +139,8 @@ def _ab_rule(n: int, cfg: QuadratureConfig):
     x, wx = leggauss(cfg.b_nodes)
     b = 0.5 * b_max * (x + 1.0)
     wb = 0.5 * b_max * wx * np.exp(-0.5 * n * b * b) * b ** (n - 2)
+    for arr in (a, wa, b, wb):
+        arr.setflags(write=False)
     return a, wa, b, wb
 
 

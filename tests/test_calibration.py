@@ -1,6 +1,7 @@
 """Null calibration, p-values, alternative samplers, power and the cache."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from lbinorm.calibration import (
     save_calibration,
 )
 from lbinorm.core import standardize, standardized_moment
-from lbinorm.errors import UnsupportedShape
+from lbinorm.errors import ScoreOverflow, UnsupportedShape
 from lbinorm.multivariate import stat_lt, whiten
 from lbinorm.scores import score_gh_limit, score_hermite
 from lbinorm.univariate import (
@@ -228,3 +229,39 @@ class TestCache:
         path = save_calibration(cal, tmp_path / "c.lbical")
         with pytest.raises(ValueError):
             load_calibration(path, "kurt")
+
+
+class TestBadValues:
+    def test_p_value_rejects_non_finite_observed(self):
+        cal = NullCalibration("toy", 5, 1, 99, 0, np.arange(99.0))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ScoreOverflow):
+                p_value(cal, bad)
+
+    def test_cache_shorter_than_header(self, tmp_path):
+        path = tmp_path / "short.lbical"
+        path.write_bytes(b"LBICAL1\x01" + bytes(10))
+        with pytest.raises(ValueError, match="shorter than its 48-byte header"):
+            load_calibration(path, "skew")
+
+    def test_save_replaces_the_file_whole(self, tmp_path, monkeypatch):
+        cal = calibrate_null(make_statistic("skew"), 9, 2000, seed=31)
+        path = tmp_path / "c.lbical"
+        path.write_bytes(b"old")
+        replaced = []
+
+        def failing_replace(src, dst):
+            replaced.append((src, dst))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            save_calibration(cal, path)
+        # written next to the target, never over it, and cleaned up
+        assert [(os.path.dirname(s), d) for s, d in replaced] == [(str(tmp_path), path)]
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["c.lbical"]
+        monkeypatch.undo()
+        save_calibration(cal, path)
+        assert os.listdir(tmp_path) == ["c.lbical"]
+        assert np.array_equal(load_calibration(path, "skew").sorted_null_values, cal.sorted_null_values)

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from lbinorm.calibration import cache_path
 from lbinorm.cli import main, parse_score, read_csv
 from lbinorm.errors import ParseError
 from lbinorm.multivariate import stat_lt, whiten
@@ -212,3 +213,35 @@ class TestRunPower:
         reader = csv.DictReader(io.StringIO(out))
         row = next(reader)
         assert 0.0 <= float(row["power"]) <= 1.0
+
+
+class TestBadInput:
+    """Bad input exits 2 with a one-line error; it never becomes a verdict."""
+
+    def _run(self, path, capsys, *extra):
+        code = main(["test", "--input", str(path), "--test", "kurt", "--seed", "1",
+                     "--reps", "1000", *extra])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return code, captured.err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell(self, tmp_path, capsys, cell):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"x\n1.0\n2.5\n{cell}\n0.3\n")
+        code, err = self._run(path, capsys)
+        assert code == 2 and "non-finite" in err and "row 4, column 1" in err
+
+    def test_constant_column(self, tmp_path, capsys):
+        path = tmp_path / "const.csv"
+        path.write_text("2.0\n" * 12)
+        code, err = self._run(path, capsys)
+        assert code == 2 and "zero sample variance" in err
+
+    def test_cache_shorter_than_header(self, uni_csv, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache_path(cache, "kurt", 20, 1, 1000, 1).write_bytes(b"LBICAL1")
+        code, err = self._run(uni_csv, capsys, "--calibration-cache", str(cache))
+        assert code == 2 and "shorter than its 48-byte header" in err

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import lbinorm
 from lbinorm.cli import main
 
@@ -47,3 +49,28 @@ def test_closed_form_beyond_valid_n_exits_3(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.lbical"))
+
+
+def _loaded_scipy(script):
+    proc = _python(["-c", "import sys\n" + script
+                    + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _loaded_scipy("import lbinorm.cli") == ["[]"]
+
+
+def test_kurt_and_mvn_tests_run_without_scipy(tmp_path):
+    rng = np.random.default_rng(7)
+    uni, multi = tmp_path / "u.csv", tmp_path / "m.csv"
+    np.savetxt(uni, rng.standard_normal(15), delimiter=",")
+    np.savetxt(multi, rng.standard_normal((15, 3)), delimiter=",")
+    common = ["--seed", "1", "--reps", "1000", "--json", os.devnull]
+    runs = [["test", "--input", str(uni), "--test", "kurt", *common],
+            ["test", "--input", str(multi), "--test", "mvn", "--group", "gl", *common]]
+    script = ("import warnings; from lbinorm.cli import main\n"
+              "warnings.simplefilter('ignore')\n"
+              f"print([main(argv) for argv in {runs!r}])")
+    assert _loaded_scipy(script) == ["[0, 0]", "[]"]

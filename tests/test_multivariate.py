@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from lbinorm.core import standardize
 from lbinorm.errors import SingularCovariance
@@ -183,3 +184,14 @@ class TestDegreesOfFreedomMapping:
             assert expansion == pytest.approx(stat_lt(Z), rel=1e-12)
             wrong = sum(moment_S(z, float(n - p - 1)) for z in Z)
             assert wrong != pytest.approx(stat_lt(Z), rel=1e-3)
+
+
+def test_whiten_matches_scipy_triangular_solve():
+    rng = np.random.default_rng(8)
+    for n, p in ((5, 3), (50, 3), (50, 5), (200, 8)):
+        X = rng.standard_normal((n, p)) @ (np.eye(p) + 0.5 * rng.standard_normal((p, p)))
+        D = X - X.mean(axis=0)
+        ref = solve_triangular(np.linalg.cholesky(D.T @ D / n), D.T, lower=True).T
+        np.testing.assert_allclose(whiten(X), ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+    with pytest.raises(SingularCovariance):
+        whiten(np.column_stack([rng.standard_normal(10), np.full(10, 2.0)]))

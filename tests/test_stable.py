@@ -1,11 +1,14 @@
 """Stable characteristic function, its alpha-derivative and the inverted score."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.interpolate import CubicSpline
 
+from lbinorm import stable
 from lbinorm.errors import AlphaOne
 from lbinorm.stable import (
     InversionConfig,
@@ -159,3 +162,53 @@ class TestScoreStable:
         out = stable_score0(x)
         assert out.shape == x.shape
         assert np.all(np.isfinite(out))
+
+
+class TestGridEvaluation:
+    def test_horner_matches_cubic_spline(self, stable_score0):
+        cfg = InversionConfig()
+        grid = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, 2401)
+        spline = CubicSpline(grid, stable_density_derivative(grid, 0.0, cfg) / normal_var2_pdf(grid))
+        x = np.concatenate([np.random.default_rng(3).uniform(-12.0, 12.0, 10**5), grid, [-12.0, 12.0]])
+        ref = spline(x)
+        assert np.all(np.abs(stable_score0(x) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+    def test_out_of_grid_points_of_all_chunks_share_one_inversion(self, stable_score0, monkeypatch):
+        x = np.random.default_rng(4).uniform(-20.0, 20.0, (9, 7))
+        whole = stable_score0(x)
+        calls = []
+        inner = stable.stable_density_derivative
+
+        def counted(xo, *args, **kwargs):
+            calls.append(np.size(xo))
+            return inner(xo, *args, **kwargs)
+
+        monkeypatch.setattr(stable, "stable_density_derivative", counted)
+        monkeypatch.setattr(stable, "SCORE_CHUNK", 5)
+        chunked = stable_score0(x)
+        assert chunked.shape == x.shape
+        assert calls == [int(np.sum(np.abs(x) > 12.0))]
+        np.testing.assert_array_equal(chunked, whole)
+
+    def test_inversion_memory_bounded(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(12.0, 30.0, 10**4) * rng.choice([-1.0, 1.0], 10**4)
+        tracemalloc.start()
+        try:
+            vals = stable_density_derivative(x, 0.5, check=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # one phase block, panels sized by the same largest |x|; relative to the
+        # largest value, as a threaded BLAS may split the rows differently
+        head = np.append(x[:40], x[np.argmax(np.abs(x))])
+        np.testing.assert_allclose(vals[:40], stable_density_derivative(head, 0.5, check=False)[:40],
+                                   rtol=0.0, atol=1e-14 * np.max(np.abs(vals)))
+
+    def test_non_finite_point_raises(self, stable_score0):
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                stable_density_derivative(np.array([1.0, bad]), 0.0, check=False)
+            with pytest.raises(ValueError, match="finite"):
+                stable_score0(np.array([0.5, bad]))

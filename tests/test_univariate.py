@@ -12,6 +12,7 @@ from lbinorm.core import (
     standardized_moment,
 )
 from lbinorm.errors import QuadratureUnconverged, ScoreOverflow
+from lbinorm import univariate
 from lbinorm.scores import ScoreFunction, score_gh_limit, score_hermite
 from lbinorm.univariate import (
     QuadratureConfig,
@@ -273,3 +274,26 @@ class TestNullIntegralQuadrature:
             np.testing.assert_allclose(
                 null_integral_quadrature(z), null_denominator_constant(n), rtol=1e-10
             )
+
+
+def test_quadrature_rule_built_once_per_n_and_config(monkeypatch):
+    built = []
+    inner = univariate.hermgauss
+
+    def counted(deg):
+        built.append(deg)
+        return inner(deg)
+
+    monkeypatch.setattr(univariate, "hermgauss", counted)
+    cfg = QuadratureConfig(a_nodes=41, b_nodes=43)
+    z = standardize(np.random.default_rng(9).normal(size=13))
+    score = score_hermite(4)
+    first = lbi_exact(z, score, cfg, check=False).value
+    second = lbi_exact(z, score, cfg, check=False).value
+    assert built == [41]
+    assert second == first
+    rule = univariate._ab_rule(13, cfg)
+    fresh = univariate._ab_rule.__wrapped__(13, cfg)
+    for cached, new in zip(rule, fresh):
+        assert not cached.flags.writeable
+        np.testing.assert_array_equal(cached, new)
