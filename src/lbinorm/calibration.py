@@ -50,7 +50,7 @@ __all__ = [
 
 BLOCK_SIZE = 10_000
 _MAGIC = b"LBICAL1"
-_VERSION = 1
+_VERSION = 2
 _HEADER = "<7sB16sIIQQ"
 
 
@@ -60,12 +60,15 @@ class StatisticSpec:
 
     ``compute_batch`` maps a raw-sample batch -- shape (reps, n) for
     univariate data, (reps, n, p) for multivariate -- to a vector of
-    statistic values.  Large values reject.
+    statistic values.  Large values reject.  ``fingerprint`` is the
+    canonical text of every setting beyond the label that changes those
+    values; with the label it keys the statistic's calibration caches.
     """
 
     label: str
     p: int
     compute_batch: Callable[[np.ndarray], np.ndarray]
+    fingerprint: str = ""
 
     def compute(self, sample: np.ndarray) -> float:
         sample = np.asarray(sample, dtype=float)
@@ -83,6 +86,7 @@ class NullCalibration:
     seed: int
     sorted_null_values: np.ndarray
     low_reps: bool = False
+    fingerprint: str = ""
 
     def critical_value(self, level: float) -> float:
         """Empirical upper quantile: large statistic values reject."""
@@ -149,14 +153,21 @@ def make_statistic(
     if score is None:
         raise ValueError(f"statistic '{name}' needs a score")
     label = f"{name}({score.family_label})"
+    # the score's own settings, and those of the node set of a smoothed form
+    settings = {
+        "lbi-exact": repr(quad_cfg or QuadratureConfig()),
+        "lbi-mc": f"mc_reps={mc_reps},mc_seed={mc_seed}",
+    }.get(name, "")
+    fingerprint = ";".join(filter(None, [score.fingerprint, settings]))
     if name == "lbi-approx":
 
         def compute_approx(x, _s=score):
             return np.asarray(_s(_standardize_batch(x))).sum(axis=1)
 
-        return StatisticSpec(label, 1, compute_approx)
+        return StatisticSpec(label, 1, compute_approx, fingerprint)
     if name == "profile":
-        return StatisticSpec(label, 1, lambda x: profile_likelihood_statistic(_standardize_batch(x), score))
+        return StatisticSpec(label, 1, lambda x: profile_likelihood_statistic(_standardize_batch(x), score),
+                             fingerprint)
     kernels = {
         "lbi-closed": lambda n: closed_form_kernel(score.polynomial_coeffs, n),
         "lbi-exact": lambda n: exact_kernel(score, n, quad_cfg),
@@ -166,7 +177,7 @@ def make_statistic(
         raise ValueError(f"unknown statistic '{name}'")
     if name == "lbi-closed" and score.polynomial_coeffs is None:
         raise ValueError("lbi-closed needs a polynomial score")
-    return StatisticSpec(label, 1, _kernel_batch(kernels[name]))
+    return StatisticSpec(label, 1, _kernel_batch(kernels[name]), fingerprint)
 
 
 def calibrate_null(
@@ -198,6 +209,7 @@ def calibrate_null(
         seed=seed,
         sorted_null_values=values,
         low_reps=low,
+        fingerprint=statistic.fingerprint,
     )
 
 
@@ -322,7 +334,9 @@ def power_curve(
     standard error.  Draws use the same block-substream contract as
     ``calibrate_null``.
     """
-    if calibration.n != n or calibration.statistic_label != statistic.label:
+    if (calibration.n, calibration.statistic_label, calibration.fingerprint) != (
+        n, statistic.label, statistic.fingerprint
+    ):
         raise ValueError("calibration does not match the requested statistic")
     crit = calibration.critical_value(level)
     out = []
@@ -343,12 +357,14 @@ def power_curve(
     return out
 
 
-def _label_hash(label: str) -> bytes:
-    return hashlib.sha256(label.encode("utf-8")).digest()[:16]
+def _label_hash(label: str, fingerprint: str) -> bytes:
+    """Hash of the statistic's label and settings fingerprint."""
+    return hashlib.sha256(f"{label}\0{fingerprint}".encode("utf-8")).digest()[:16]
 
 
-def cache_path(directory, statistic_label: str, n: int, p: int, reps: int, seed: int) -> Path:
-    h = _label_hash(statistic_label).hex()
+def cache_path(directory, statistic_label: str, n: int, p: int, reps: int, seed: int,
+               fingerprint: str = "") -> Path:
+    h = _label_hash(statistic_label, fingerprint).hex()
     return Path(directory) / f"{h}_n{n}_p{p}_r{reps}_s{seed}.lbical"
 
 
@@ -363,7 +379,7 @@ def save_calibration(cal: NullCalibration, path) -> Path:
         _HEADER,
         _MAGIC,
         _VERSION,
-        _label_hash(cal.statistic_label),
+        _label_hash(cal.statistic_label, cal.fingerprint),
         cal.n,
         max(cal.p, 0),
         cal.reps,
@@ -381,8 +397,9 @@ def save_calibration(cal: NullCalibration, path) -> Path:
     return path
 
 
-def load_calibration(path, statistic_label: str) -> NullCalibration:
-    """Read a calibration cache, verifying magic, version and label hash."""
+def load_calibration(path, statistic_label: str, fingerprint: str = "") -> NullCalibration:
+    """Read a calibration cache, verifying magic, version and the hash of
+    the label and settings fingerprint."""
     raw = Path(path).read_bytes()
     head = struct.calcsize(_HEADER)
     if len(raw) < head:
@@ -390,7 +407,7 @@ def load_calibration(path, statistic_label: str) -> NullCalibration:
     magic, version, lhash, n, p, reps, seed = struct.unpack(_HEADER, raw[:head])
     if magic != _MAGIC or version != _VERSION:
         raise ValueError("not a calibration cache file")
-    if lhash != _label_hash(statistic_label):
+    if lhash != _label_hash(statistic_label, fingerprint):
         raise ValueError("cache belongs to a different statistic")
     values = np.frombuffer(raw[head:], dtype="<f8")
     if values.size != reps:
@@ -402,4 +419,5 @@ def load_calibration(path, statistic_label: str) -> NullCalibration:
         reps=reps,
         seed=seed,
         sorted_null_values=np.array(values),
+        fingerprint=fingerprint,
     )

@@ -165,13 +165,13 @@ def _build_statistic(args, n: int):
 
 def _get_calibration(stat, n, p, reps, seed, cache_dir):
     if cache_dir:
-        path = cal_mod.cache_path(cache_dir, stat.label, n, max(p, 1), reps, seed)
+        path = cal_mod.cache_path(cache_dir, stat.label, n, max(p, 1), reps, seed, stat.fingerprint)
         if path.exists():
-            return cal_mod.load_calibration(path, stat.label), path
+            return cal_mod.load_calibration(path, stat.label, stat.fingerprint), path
     cal = cal_mod.calibrate_null(stat, n, reps, seed, p=max(p, 1))
     path = None
     if cache_dir:
-        path = cal_mod.cache_path(cache_dir, stat.label, n, max(cal.p, 1), reps, seed)
+        path = cal_mod.cache_path(cache_dir, stat.label, n, max(cal.p, 1), reps, seed, cal.fingerprint)
         cal_mod.save_calibration(cal, path)
     return cal, path
 
@@ -228,7 +228,8 @@ def run_calibrate(args) -> Path:
     p = args.p if args.test == "mvn" else 1
     cal = cal_mod.calibrate_null(stat, args.n, args.reps, seed, p=p)
     path = cal_mod.cache_path(
-        args.calibration_cache, stat.label, args.n, max(cal.p, 1), args.reps, seed
+        args.calibration_cache, stat.label, args.n, max(cal.p, 1), args.reps, seed,
+        cal.fingerprint,
     )
     cal_mod.save_calibration(cal, path)
     sys.stdout.write(str(path) + "\n")

@@ -5,10 +5,11 @@ All functions are pure and accept scalars or numpy arrays where sensible.
 """
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import DegenerateSample
+from .errors import DegenerateSample, ScoreOverflow
 
 __all__ = [
     "standardize",
@@ -144,8 +145,19 @@ def null_denominator_constant(n: int) -> float:
 
     Equals Gamma((n-1)/2) / (2 * n**(n/2) * pi**((n-1)/2)); the value of
     the 2-D integral of prod_i phi(a + b z_i) * b**(n-2) over a in R,
-    b > 0 for any standardized z.  Used as a quadrature oracle.
+    b > 0 for any standardized z.  Used as a quadrature oracle.  Built
+    from logarithms; a value below the normal float range (from n = 496
+    on) raises ScoreOverflow, never returning 0.
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    return math.gamma((n - 1) / 2.0) / (2.0 * n ** (n / 2.0) * math.pi ** ((n - 1) / 2.0))
+    log_value = (
+        math.lgamma((n - 1) / 2.0)
+        - math.log(2.0)
+        - 0.5 * n * math.log(n)
+        - 0.5 * (n - 1) * math.log(math.pi)
+    )
+    value = math.exp(log_value)
+    if value < sys.float_info.min:
+        raise ScoreOverflow(f"null denominator constant at n = {n} is below the normal float range")
+    return value

@@ -40,6 +40,9 @@ class ScoreFunction:
 
     ``polynomial_coeffs`` are in numpy polyval order (highest degree
     first); when present, ``evaluate`` is exactly the polynomial.
+    ``fingerprint`` is the canonical text of the settings the score was
+    built under (empty if none); it is part of every cache key of a
+    calibration that uses the score.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -49,6 +52,7 @@ class ScoreFunction:
     derivative: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False
     )
+    fingerprint: str = ""
 
     def __call__(self, x):
         return self.evaluate(np.asarray(x, dtype=float))

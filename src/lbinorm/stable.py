@@ -58,6 +58,8 @@ class InversionConfig:
             raise ValueError("nodes must be >= 128")
         if self.oscillation_splits < 2:
             raise ValueError("oscillation_splits must be >= 2")
+        if round(2.0 * self.grid_halfwidth / self.grid_step) < 3:
+            raise ValueError("the score grid needs at least 4 points")
 
 
 def stable_cf(t, alpha: float, beta: float):
@@ -130,11 +132,14 @@ def _panel_edges(max_abs_x: float, cfg: InversionConfig, nodes: int) -> np.ndarr
 def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: int) -> np.ndarray:
     """Evaluate the inversion integral for an array of x with given node budget.
 
+    The cosine integral is even in x and the sine integral odd, so both
+    are evaluated once per distinct |x| and combined as C(|x|) + sgn(x) S(|x|).
     The panels are sized by the largest |x| of the whole call; the phase
     matrix is built for at most ``PHASE_BLOCK`` (point, node) pairs at once.
     """
     x = x.ravel()
-    edges = _panel_edges(float(np.max(np.abs(x), initial=0.0)), cfg, nodes)
+    ax, where = np.unique(np.abs(x), return_inverse=True)
+    edges = _panel_edges(float(np.max(ax, initial=0.0)), cfg, nodes)
     u, w = leggauss(16)
     # all panel nodes as one flat array
     half = 0.5 * np.diff(edges)
@@ -146,15 +151,45 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
     damp = np.exp(-(tt * tt))
     w_cos = ww * (tt * tt * logt * damp)
     w_sin = ww * ((tt - tt * tt) * damp)
-    vals = np.empty(x.size)
+    even = np.empty(ax.size)
+    odd = np.zeros(ax.size)
     rows = max(1, PHASE_BLOCK // tt.size)
-    for lo in range(0, x.size, rows):
-        phase = np.outer(x[lo:lo + rows], tt)
-        v = (1.0 / math.pi) * (np.cos(phase) @ w_cos)
+    for lo in range(0, ax.size, rows):
+        phase = np.outer(ax[lo:lo + rows], tt)
+        even[lo:lo + rows] = (1.0 / math.pi) * (np.cos(phase) @ w_cos)
         if beta != 0.0:
-            v = v + (beta / 2.0) * (np.sin(phase) @ w_sin)
-        vals[lo:lo + rows] = v
-    return vals
+            odd[lo:lo + rows] = (beta / 2.0) * (np.sin(phase) @ w_sin)
+    return even[where] + np.sign(x) * odd[where]
+
+
+def _not_a_knot_coefficients(y: np.ndarray, step: float) -> np.ndarray:
+    """Not-a-knot cubic spline through y on a uniform grid.
+
+    Returns the cubic, quadratic, linear and constant coefficient of each
+    cell as the rows of a (4, len(y) - 1) array.  The knot slopes solve one
+    tridiagonal system (interior rows 1 4 1, end rows 1 2 and 2 1), here by
+    one forward and one back sweep in O(len(y)).
+    """
+    secant = np.diff(y) / step
+    rhs = np.empty(y.size)
+    rhs[0] = 0.5 * (5.0 * secant[0] + secant[1])
+    rhs[1:-1] = 3.0 * (secant[:-1] + secant[1:])
+    rhs[-1] = 0.5 * (secant[-2] + 5.0 * secant[-1])
+    rhs = rhs.tolist()
+    last = len(rhs) - 1
+    # forward sweep: row i becomes s_i + upper[i] s_(i+1) = rhs[i]
+    upper = [2.0] * last
+    for i in range(1, last):
+        piv = 4.0 - upper[i - 1]
+        upper[i] = 1.0 / piv
+        rhs[i] = (rhs[i] - rhs[i - 1]) / piv
+    slopes = [0.0] * (last + 1)
+    slopes[last] = (rhs[last] - 2.0 * rhs[last - 1]) / (1.0 - 2.0 * upper[last - 1])
+    for i in range(last - 1, -1, -1):
+        slopes[i] = rhs[i] - upper[i] * slopes[i + 1]
+    s = np.asarray(slopes)
+    bend = (s[:-1] + s[1:] - 2.0 * secant) / step
+    return np.stack([bend / step, (secant - s[:-1]) / step - bend, s[:-1], y[:-1]])
 
 
 def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None, check: bool = True):
@@ -192,23 +227,22 @@ def normal_var2_pdf(x):
 def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFunction:
     """Stable-family score: density derivative divided by the N(0,2) density.
 
-    Values are precomputed on a uniform grid and interpolated with a
-    cubic spline, evaluated by Horner in the grid cell found by division
-    (no search); evaluations outside the grid fall back to direct
-    inversion, all of one call's in one batch.  The tail grows like
-    exp(x^2/4)/|x|^3, so the score is not square integrable under the
-    Gaussian weight.
+    Values are precomputed on a uniform grid, symmetric about 0, and
+    interpolated with a not-a-knot cubic spline, evaluated by Horner in
+    the grid cell found by division (no search); evaluations outside the
+    grid fall back to direct inversion, all of one call's in one batch.
+    The tail grows like exp(x^2/4)/|x|^3, so the score is not square
+    integrable under the Gaussian weight.
     """
-    from scipy.interpolate import CubicSpline  # deferred: keeps scipy out of CLI start-up
-
     cfg = cfg or InversionConfig()
     half = cfg.grid_halfwidth
     npts = int(round(2.0 * half / cfg.grid_step)) + 1
-    grid = np.linspace(-half, half, npts)
-    dd = stable_density_derivative(grid, beta, cfg)
-    # cubic, quadratic, linear and constant coefficient of each grid cell
-    c3, c2, c1, c0 = CubicSpline(grid, np.asarray(dd) / normal_var2_pdf(grid)).c
-    knots, step = grid[:-1], (grid[-1] - grid[0]) / (npts - 1)
+    step = 2.0 * half / (npts - 1)
+    # exactly symmetric, so the inversion runs once per distinct |x|
+    grid = step * (np.arange(npts) - 0.5 * (npts - 1))
+    y = np.asarray(stable_density_derivative(grid, beta, cfg)) / normal_var2_pdf(grid)
+    c3, c2, c1, c0 = _not_a_knot_coefficients(y, step)
+    knots = grid[:-1]
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
@@ -241,4 +275,5 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
         evaluate=evaluate,
         family_label=f"stable:beta={beta:g}",
         tail_class=TAIL_SUBGAUSSIAN_DOMINATING,
+        fingerprint=repr(cfg),
     )

@@ -24,6 +24,7 @@ from lbinorm.errors import ScoreOverflow, UnsupportedShape
 from lbinorm.multivariate import stat_lt, whiten
 from lbinorm.scores import score_gh_limit, score_hermite
 from lbinorm.univariate import (
+    QuadratureConfig,
     lbi_closed_form,
     lbi_laplace,
     profile_likelihood_statistic,
@@ -229,6 +230,35 @@ class TestCache:
         path = save_calibration(cal, tmp_path / "c.lbical")
         with pytest.raises(ValueError):
             load_calibration(path, "kurt")
+
+
+class TestCacheFingerprint:
+    def test_settings_change_the_key_not_the_label(self, tmp_path):
+        score = score_hermite(4)
+        specs = [
+            make_statistic("lbi-exact", score=score),
+            make_statistic("lbi-exact", score=score, quad_cfg=QuadratureConfig(a_nodes=128)),
+            make_statistic("lbi-mc", score=score, mc_reps=2000),
+            make_statistic("lbi-mc", score=score, mc_reps=2000, mc_seed=1),
+            make_statistic("lbi-mc", score=score, mc_reps=3000),
+        ]
+        assert [s.label for s in specs] == ["lbi-exact(hermite:4)"] * 2 + ["lbi-mc(hermite:4)"] * 3
+        assert make_statistic("lbi-exact", score=score, quad_cfg=QuadratureConfig()).fingerprint \
+            == specs[0].fingerprint
+        paths = {cache_path(tmp_path, s.label, 9, 1, 2000, 1, s.fingerprint) for s in specs}
+        assert len(paths) == len(specs)
+
+    def test_load_checks_the_fingerprint(self, tmp_path):
+        spec = make_statistic("lbi-mc", score=score_hermite(4), mc_reps=2000)
+        cal = calibrate_null(spec, 9, 2000, seed=32)
+        assert cal.fingerprint == spec.fingerprint
+        path = save_calibration(cal, tmp_path / "c.lbical")
+        assert load_calibration(path, spec.label, spec.fingerprint).fingerprint == spec.fingerprint
+        with pytest.raises(ValueError, match="different statistic"):
+            load_calibration(path, spec.label)
+        other = make_statistic("lbi-mc", score=score_hermite(4), mc_reps=2000, mc_seed=1)
+        with pytest.raises(ValueError, match="does not match"):
+            power_curve(other, "laplace", [0.1], 9, 0.05, 1000, seed=33, calibration=cal)
 
 
 class TestBadValues:

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from lbinorm import calibration as cal_mod
 from lbinorm.calibration import cache_path
 from lbinorm.cli import main, parse_score, read_csv
 from lbinorm.errors import ParseError
@@ -180,6 +181,39 @@ class TestRunCalibrate:
         assert main(argv) == 0
         assert files[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
         assert (tmp_path / "r1.json").read_text() == (tmp_path / "r2.json").read_text()
+
+
+class TestCacheKey:
+    """A cache file is keyed by every setting that changes the statistic."""
+
+    def _calibrate(self, cache, capsys, *extra):
+        argv = ["calibrate", "--test", "lbi-approx", "--score", "stable:beta=0", "--n", "20",
+                "--reps", "1000", "--seed", "5", "--calibration-cache", str(cache), *extra]
+        assert main(argv) == 0
+        return capsys.readouterr().out.strip()
+
+    @pytest.mark.parametrize("setting", [["--stable-tmax", "20"], ["--stable-nodes", "1024"]])
+    def test_inversion_settings_name_their_own_file(self, uni_csv, tmp_path, capsys,
+                                                    monkeypatch, setting):
+        cache = tmp_path / "cache"
+        first = self._calibrate(cache, capsys)
+        second = self._calibrate(cache, capsys, *setting)
+        assert first != second
+        assert len(list(cache.glob("*.lbical"))) == 2
+        loaded = []
+        inner = cal_mod.load_calibration
+
+        def recorded(path, *args):
+            loaded.append(str(path))
+            return inner(path, *args)
+
+        monkeypatch.setattr(cal_mod, "load_calibration", recorded)
+        report = tmp_path / "r.json"
+        assert main(["test", "--input", str(uni_csv), "--test", "lbi-approx", "--score",
+                     "stable:beta=0", "--reps", "1000", "--seed", "5", "--calibration-cache",
+                     str(cache), "--json", str(report), *setting]) == 0
+        assert loaded == [second]
+        assert json.loads(report.read_text())["statistic_label"] == "lbi-approx(stable:beta=0)"
 
 
 class TestRunPower:

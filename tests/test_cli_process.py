@@ -74,3 +74,18 @@ def test_kurt_and_mvn_tests_run_without_scipy(tmp_path):
               "warnings.simplefilter('ignore')\n"
               f"print([main(argv) for argv in {runs!r}])")
     assert _loaded_scipy(script) == ["[0, 0]", "[]"]
+
+
+def test_stable_score_commands_run_without_scipy(tmp_path):
+    uni = tmp_path / "u.csv"
+    np.savetxt(uni, np.random.default_rng(8).standard_normal(12), delimiter=",")
+    common = ["--test", "lbi-approx", "--score", "stable:beta=0", "--seed", "1",
+              "--reps", "1000"]
+    runs = [["test", "--input", str(uni), *common, "--json", os.devnull],
+            ["calibrate", "--n", "12", *common, "--calibration-cache", str(tmp_path)],
+            ["power", "--n", "12", *common, "--family", "student-t", "--shapes", "0.5",
+             "--power-reps", "500", "--out", os.devnull]]
+    script = ("import warnings; from lbinorm.cli import main\n"
+              "warnings.simplefilter('ignore')\n"
+              f"print([main(argv) for argv in {runs!r}])")
+    assert _loaded_scipy(script)[-2:] == ["[0, 0, 0]", "[]"]

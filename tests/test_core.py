@@ -15,7 +15,7 @@ from lbinorm.core import (
     standardize,
     standardized_moment,
 )
-from lbinorm.errors import DegenerateSample
+from lbinorm.errors import DegenerateSample, ScoreOverflow
 
 
 class TestStandardize:
@@ -142,3 +142,18 @@ class TestNullDenominatorConstant:
             np.inf,
         )
         np.testing.assert_allclose(null_denominator_constant(n), val, rtol=1e-8)
+
+    def test_large_n_from_logarithms(self):
+        # the product form gave 0.0 at n = 255 and OverflowError from n = 256
+        for n in (255, 256):
+            log_value = (math.lgamma((n - 1) / 2.0) - math.log(2.0) - 0.5 * n * math.log(n)
+                         - 0.5 * (n - 1) * math.log(math.pi))
+            value = null_denominator_constant(n)
+            assert value > 0.0
+            assert value == pytest.approx(math.exp(log_value), rel=1e-12)
+
+    def test_below_normal_float_range_raises(self):
+        assert null_denominator_constant(495) >= 2.2250738585072014e-308
+        for n in (496, 2000):
+            with pytest.raises(ScoreOverflow):
+                null_denominator_constant(n)

@@ -14,6 +14,7 @@ from lbinorm.stable import (
     InversionConfig,
     dcf_dalpha_at_2,
     normal_var2_pdf,
+    score_stable,
     stable_cf,
     stable_density_derivative,
 )
@@ -212,3 +213,50 @@ class TestGridEvaluation:
                 stable_density_derivative(np.array([1.0, bad]), 0.0, check=False)
             with pytest.raises(ValueError, match="finite"):
                 stable_score0(np.array([0.5, bad]))
+
+
+class TestMirroredInversion:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -1.0])
+    def test_symmetric_points_match_per_point_evaluation(self, beta):
+        x = np.array([0.0, 0.2, -0.2, 1.0, -1.0, 2.5, -2.5, 3.9, -3.9])
+        together = stable_density_derivative(x, beta)
+        alone = np.array([stable_density_derivative(v, beta) for v in x])
+        np.testing.assert_allclose(together, alone, rtol=1e-13, atol=0.0)
+
+    def test_tabulation_keeps_the_node_doubling_check(self, monkeypatch):
+        cfg = InversionConfig()
+        calls = []
+        inner = stable._inversion_values
+
+        def recorded(x, beta, cfg_, nodes):
+            calls.append((x.size, nodes))
+            return inner(x, beta, cfg_, nodes)
+
+        monkeypatch.setattr(stable, "_inversion_values", recorded)
+        score_stable(0.5, cfg)
+        assert calls == [(2401, cfg.nodes), (2401, 2 * cfg.nodes)]
+
+
+class TestNotAKnotSpline:
+    def test_grid_needs_four_points(self):
+        InversionConfig(grid_step=8.0, grid_halfwidth=12.0)
+        with pytest.raises(ValueError, match="4 points"):
+            InversionConfig(grid_step=12.0, grid_halfwidth=12.0)
+
+    @pytest.mark.parametrize("npts", [4, 5, 2401])
+    def test_coefficients_match_cubic_spline(self, npts):
+        grid = np.linspace(-3.0, 3.0, npts)
+        y = np.random.default_rng(npts).normal(size=npts)
+        ref = CubicSpline(grid, y).c
+        got = stable._not_a_knot_coefficients(y, grid[1] - grid[0])
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True))
+
+    def test_horner_matches_cubic_spline_skewed(self):
+        cfg = InversionConfig()
+        score = score_stable(0.5, cfg)
+        grid = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, 2401)
+        spline = CubicSpline(grid, stable_density_derivative(grid, 0.5, cfg) / normal_var2_pdf(grid))
+        x = np.concatenate([np.random.default_rng(6).uniform(-12.0, 12.0, 10**5), grid, [-12.0, 12.0]])
+        ref = spline(x)
+        assert np.all(np.abs(score(x) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
