@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 10_000
+# at most this many values per stack that whiten and the mvn statistics see
+# at once, so their temporaries stay small however large the batch is
+MVN_CHUNK = 2**15
 _MAGIC = b"LBICAL1"
 _VERSION = 2
 _HEADER = "<7sB16sIIQQ"
@@ -147,7 +150,15 @@ def make_statistic(
         fn = stat_gl if group == "gl" else stat_lt
 
         def compute_mvn(x, _fn=fn):
-            return np.array([_fn(whiten(xi)) for xi in x])
+            x = np.asarray(x, dtype=float)
+            if x.ndim != 3 or x.shape[2] < 1:
+                raise ValueError("expected an n x p matrix")
+            reps, n, p = x.shape
+            rows = max(1, MVN_CHUNK // max(1, n * p))
+            out = np.empty(reps)
+            for lo in range(0, reps, rows):
+                out[lo:lo + rows] = _fn(whiten(x[lo:lo + rows]))
+            return out
 
         return StatisticSpec(f"mvn-{group}", -1, compute_mvn)
     if score is None:

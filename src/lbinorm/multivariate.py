@@ -4,8 +4,11 @@
 column sums and (1/n) Z'Z = I.  ``stat_gl`` is the fully linear-invariant
 fourth-moment statistic sum ||z_i||^4; ``stat_lt`` is the triangular-group
 statistic, which weights coordinates by their position and is therefore
-coordinate-order dependent by design.  The moment functions and the
-Wishart check back the triangular statistic with independent samplers.
+coordinate-order dependent by design.  All three also take a stack of
+samples, shape (..., n, p), and work on each n x p sample of it in one
+numpy call; a single n x p sample gives a plain float statistic.  The
+moment functions and the Wishart check back the triangular statistic
+with independent samplers.
 """
 
 import math
@@ -28,35 +31,42 @@ __all__ = [
 def whiten(X) -> np.ndarray:
     """Cholesky standardization Z = (X - mean) (T')^{-1} with S = TT'.
 
-    The covariance uses the divisor n.  Requires n >= p + 2 and a
-    positive definite S; raises SingularCovariance otherwise.
+    ``X`` is one n x p sample or a stack (..., n, p) of them; each sample
+    is whitened on its own.  The covariance uses the divisor n.  Requires
+    n >= p + 2 and a positive definite S for every sample; raises
+    SingularCovariance otherwise.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
+    if X.ndim < 2:
         raise ValueError("expected an n x p matrix")
-    n, p = X.shape
+    n, p = X.shape[-2:]
     if n < p + 2:
         raise ValueError(f"need n >= p + 2, got n={n}, p={p}")
-    xbar = X.mean(axis=0)
-    D = X - xbar
-    S = D.T @ D / n
+    D = X - X.mean(axis=-2, keepdims=True)
+    Dt = np.swapaxes(D, -1, -2)
+    S = Dt @ D / n
     try:
         T = np.linalg.cholesky(S)
         # z_i = T^{-1} (x_i - xbar): solve T Z' = D'
-        return np.linalg.solve(T, D.T).T
+        return np.swapaxes(np.linalg.solve(T, Dt), -1, -2)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("sample covariance is not positive definite") from exc
 
 
-def stat_gl(Z) -> float:
+def _per_sample(total: np.ndarray) -> float | np.ndarray:
+    """A float for one sample, the array of values for a stack."""
+    return float(total) if total.ndim == 0 else total
+
+
+def stat_gl(Z) -> float | np.ndarray:
     """Fourth-moment statistic sum_i ||z_i||^4, invariant under all
-    nonsingular linear maps of the data."""
+    nonsingular linear maps of the data; per sample of a (..., n, p) stack."""
     Z = np.asarray(Z, dtype=float)
-    r = np.sum(Z * Z, axis=1)
-    return float(np.sum(r * r))
+    r = np.sum(Z * Z, axis=-1)
+    return _per_sample(np.sum(r * r, axis=-1))
 
 
-def stat_lt(Z) -> float:
+def stat_lt(Z) -> float | np.ndarray:
     """Triangular-group invariant statistic (coordinate-order dependent).
 
     Evaluates, in a regrouped O(np) form, the quadruple sum
@@ -64,27 +74,28 @@ def stat_lt(Z) -> float:
         (n+p+2)(n+p) sum_i ||z_i||^4
         - 2(n+p+2) sum_i sum_{j,k} max(j,k) z_ij^2 z_ik^2
         - 2(n+p)   sum_i sum_{j,k} min(j,k) z_ij^2 z_ik^2
-        + 4 sum_i (sum_j j z_ij^2)^2.
+        + 4 sum_i (sum_j j z_ij^2)^2,
 
-    Uses min(j,k) = sum_m 1[j>=m] 1[k>=m], so the min-sum is a sum of
-    squared suffix sums, and max = j + k - min.
+    per sample of a (..., n, p) stack.  Uses min(j,k) = sum_m 1[j>=m]
+    1[k>=m], so the min-sum is a sum of squared suffix sums, and
+    max = j + k - min.
     """
     Z = np.asarray(Z, dtype=float)
-    n, p = Z.shape
+    n, p = Z.shape[-2:]
     q = Z * Z
-    r = q.sum(axis=1)  # ||z_i||^2
+    r = q.sum(axis=-1)  # ||z_i||^2
     j = np.arange(1, p + 1)
     u = q @ j  # sum_j j z_ij^2
-    suffix = np.cumsum(q[:, ::-1], axis=1)[:, ::-1]  # suffix[m] = sum_{j>=m} q_ij
-    mn = np.sum(suffix * suffix, axis=1)  # sum_{j,k} min(j,k) q_ij q_ik
+    suffix = np.cumsum(q[..., ::-1], axis=-1)[..., ::-1]  # suffix[m] = sum_{j>=m} q_ij
+    mn = np.sum(suffix * suffix, axis=-1)  # sum_{j,k} min(j,k) q_ij q_ik
     mx = 2.0 * u * r - mn
     total = (
-        (n + p + 2) * (n + p) * np.sum(r * r)
-        - 2.0 * (n + p + 2) * np.sum(mx)
-        - 2.0 * (n + p) * np.sum(mn)
-        + 4.0 * np.sum(u * u)
+        (n + p + 2) * (n + p) * np.sum(r * r, axis=-1)
+        - 2.0 * (n + p + 2) * np.sum(mx, axis=-1)
+        - 2.0 * (n + p) * np.sum(mn, axis=-1)
+        + 4.0 * np.sum(u * u, axis=-1)
     )
-    return float(total)
+    return _per_sample(total)
 
 
 def moment_R(z, m: float) -> float:

@@ -2,11 +2,13 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lbinorm.calibration import (
+    BLOCK_SIZE,
     AlternativeSpec,
     NullCalibration,
     cache_path,
@@ -19,9 +21,9 @@ from lbinorm.calibration import (
     sample_alternative,
     save_calibration,
 )
-from lbinorm.core import standardize, standardized_moment
-from lbinorm.errors import ScoreOverflow, UnsupportedShape
-from lbinorm.multivariate import stat_lt, whiten
+from lbinorm.core import block_substreams, standardize, standardized_moment
+from lbinorm.errors import ScoreOverflow, SingularCovariance, UnsupportedShape
+from lbinorm.multivariate import stat_gl, stat_lt, whiten
 from lbinorm.scores import score_gh_limit, score_hermite
 from lbinorm.univariate import (
     QuadratureConfig,
@@ -295,3 +297,51 @@ class TestBadValues:
         save_calibration(cal, path)
         assert os.listdir(tmp_path) == ["c.lbical"]
         assert np.array_equal(load_calibration(path, "skew").sorted_null_values, cal.sorted_null_values)
+
+
+class TestMvnBatch:
+    """The mvn statistics evaluate a whole batch of samples in bounded chunks."""
+
+    @pytest.mark.parametrize("group, p", [("gl", 3), ("lt", 5)])
+    def test_calibration_matches_per_sample_loop(self, group, p):
+        fn = stat_gl if group == "gl" else stat_lt
+        n, reps, seed = 50, 20_000, 17
+        cal = calibrate_null(make_statistic("mvn", group=group), n, reps, seed, p)
+        ref = np.concatenate([
+            [fn(whiten(xi)) for xi in rng.standard_normal((m, n, p))]
+            for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)
+        ])
+        ref.sort()
+        np.testing.assert_allclose(cal.sorted_null_values, ref, rtol=1e-12, atol=0.0)
+
+    def test_non_3d_batch_rejected(self):
+        for group in ("gl", "lt"):
+            with pytest.raises(ValueError, match="expected an n x p matrix"):
+                make_statistic("mvn", group=group).compute_batch(np.zeros((4, 50)))
+
+    def test_singular_sample_in_batch_raises(self):
+        X = np.random.default_rng(31).normal(size=(300, 12, 3))
+        X[250, :, 2] = -1.5
+        for group in ("gl", "lt"):
+            with pytest.raises(SingularCovariance):
+                make_statistic("mvn", group=group).compute_batch(X)
+
+    def test_memory_stays_bounded(self):
+        x = np.random.default_rng(32).standard_normal((10_000, 50, 5))
+        spec = make_statistic("mvn", group="lt")
+        tracemalloc.start()
+        try:
+            vals = spec.compute_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an unchunked batch holds several 20 MB temporaries at once
+        assert peak <= 4 * 2**20
+        assert vals.shape == (10_000,) and np.all(np.isfinite(vals))
+
+    def test_gl_null_mean_is_mardia_expectation(self):
+        # E[b_{2,p}] = p(p+2)(n-1)/(n+1) under the null, b_{2,p} = mvn-gl / n
+        n, p, reps = 50, 3, 20_000
+        b2 = calibrate_null(make_statistic("mvn", group="gl"), n, reps, 23, p).sorted_null_values / n
+        expected = p * (p + 2) * (n - 1) / (n + 1)
+        assert abs(b2.mean() - expected) <= 5.0 * b2.std(ddof=1) / math.sqrt(reps)

@@ -89,3 +89,17 @@ def test_stable_score_commands_run_without_scipy(tmp_path):
               "warnings.simplefilter('ignore')\n"
               f"print([main(argv) for argv in {runs!r}])")
     assert _loaded_scipy(script)[-2:] == ["[0, 0, 0]", "[]"]
+
+
+def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
+    common = ["--test", "mvn", "--n", "50", "--seed", "1"]
+    runs = [["calibrate", *common, "--p", "1", "--calibration-cache", str(tmp_path)],
+            ["calibrate", *common, "--p", "0", "--calibration-cache", str(tmp_path)],
+            ["power", *common, "--family", "laplace", "--shapes", "0,0.2",
+             "--power-reps", "500"]]
+    for argv in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: expected an n x p matrix\n"
+    assert not list(tmp_path.glob("*.lbical"))

@@ -195,3 +195,28 @@ def test_whiten_matches_scipy_triangular_solve():
         np.testing.assert_allclose(whiten(X), ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
     with pytest.raises(SingularCovariance):
         whiten(np.column_stack([rng.standard_normal(10), np.full(10, 2.0)]))
+
+
+class TestStackedSamples:
+    """whiten and the statistics on a (..., n, p) stack equal the per-sample loop."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_stack_matches_per_sample_loop(self, p):
+        X = np.random.default_rng(20 + p).normal(size=(40, 12, p))
+        Z = whiten(X)
+        assert Z.shape == X.shape
+        for xi, zi in zip(X, Z):
+            ref = whiten(xi)
+            np.testing.assert_allclose(zi, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+        np.testing.assert_array_equal(whiten(X.reshape(4, 10, 12, p)), Z.reshape(4, 10, 12, p))
+        for fn in (stat_gl, stat_lt):
+            vals = fn(Z)
+            assert isinstance(vals, np.ndarray) and vals.shape == (40,)
+            np.testing.assert_allclose(vals, [fn(whiten(xi)) for xi in X], rtol=1e-12, atol=0.0)
+            assert type(fn(Z[0])) is float
+
+    def test_one_singular_sample_raises(self):
+        X = np.random.default_rng(30).normal(size=(6, 12, 3))
+        X[4, :, 1] = 2.0
+        with pytest.raises(SingularCovariance):
+            whiten(X)
