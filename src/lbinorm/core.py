@@ -1,5 +1,6 @@
-"""Sample standardization, standardized moments, Hermite polynomials and
-the closed-form Gaussian constants used throughout the package.
+"""Sample standardization, standardized moments, Hermite polynomials, the
+uniform-grid cubic spline and the closed-form Gaussian constants used
+throughout the package.
 
 All functions are pure and accept scalars or numpy arrays where sensible.
 """
@@ -16,6 +17,8 @@ __all__ = [
     "standardized_moment",
     "power_sums",
     "block_substreams",
+    "not_a_knot_coefficients",
+    "uniform_cubic",
     "hermite",
     "hermite_coefficients",
     "coefficient_c",
@@ -91,6 +94,70 @@ def block_substreams(key, reps: int, block_size: int):
     """
     for i, start in enumerate(range(0, reps, block_size)):
         yield np.random.default_rng([*key, i]), min(block_size, reps - start)
+
+
+def not_a_knot_coefficients(y: np.ndarray, step: float) -> np.ndarray:
+    """Not-a-knot cubic spline through y on a uniform grid.
+
+    Returns the cubic, quadratic, linear and constant coefficient of each
+    cell as the rows of a (4, len(y) - 1) array.  The knot slopes solve one
+    tridiagonal system (interior rows 1 4 1, end rows 1 2 and 2 1), here by
+    one forward and one back sweep in O(len(y)).
+    """
+    secant = np.diff(y) / step
+    rhs = np.empty(y.size)
+    rhs[0] = 0.5 * (5.0 * secant[0] + secant[1])
+    rhs[1:-1] = 3.0 * (secant[:-1] + secant[1:])
+    rhs[-1] = 0.5 * (secant[-2] + 5.0 * secant[-1])
+    rhs = rhs.tolist()
+    last = len(rhs) - 1
+    # forward sweep: row i becomes s_i + upper[i] s_(i+1) = rhs[i]
+    upper = [2.0] * last
+    for i in range(1, last):
+        piv = 4.0 - upper[i - 1]
+        upper[i] = 1.0 / piv
+        rhs[i] = (rhs[i] - rhs[i - 1]) / piv
+    slopes = [0.0] * (last + 1)
+    slopes[last] = (rhs[last] - 2.0 * rhs[last - 1]) / (1.0 - 2.0 * upper[last - 1])
+    for i in range(last - 1, -1, -1):
+        slopes[i] = rhs[i] - upper[i] * slopes[i + 1]
+    s = np.asarray(slopes)
+    bend = (s[:-1] + s[1:] - 2.0 * secant) / step
+    return np.stack([bend / step, (secant - s[:-1]) / step - bend, s[:-1], y[:-1]])
+
+
+def uniform_cubic(rows, half: float, step: float, x, beyond, chunk: int = 2**16) -> np.ndarray:
+    """A piecewise cubic on the uniform cells of [-half, half], at every point of x.
+
+    ``rows`` hold one coefficient per cell, highest degree first: the four
+    rows of ``not_a_knot_coefficients`` give the spline, the rows
+    (3 c3, 2 c2, c1) its slope.  A point is evaluated by Horner in the
+    cell found by division (no search), ``chunk`` points at a time; the
+    points with |x| > half all go to one ``beyond(points)`` call.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    cells = rows[0].size
+    outside = []
+    for lo in range(0, flat.size, chunk):
+        xc = flat[lo:lo + chunk]
+        inside = np.abs(xc) <= half
+        xs = np.where(inside, xc, 0.0)
+        cell = ((xs + half) / step).astype(np.intp)
+        np.clip(cell, 0, cells - 1, out=cell)
+        dx = xs - (step * cell - half)
+        val = rows[0].take(cell)
+        for c in rows[1:]:
+            val *= dx
+            val += c.take(cell)
+        out[lo:lo + chunk] = val
+        if not inside.all():
+            outside.append(lo + np.flatnonzero(~inside))
+    if outside:
+        idx = np.concatenate(outside)
+        out[idx] = beyond(flat[idx])
+    return out.reshape(x.shape)
 
 
 def hermite(k: int, x):

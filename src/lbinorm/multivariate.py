@@ -47,10 +47,14 @@ def whiten(X) -> np.ndarray:
     S = Dt @ D / n
     try:
         T = np.linalg.cholesky(S)
-        # z_i = T^{-1} (x_i - xbar): solve T Z' = D'
-        return np.swapaxes(np.linalg.solve(T, Dt), -1, -2)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("sample covariance is not positive definite") from exc
+    # z_i = T^{-1} (x_i - xbar): solve T Z' = D' by forward substitution, row j
+    # of Z' from the rows before it
+    Zt = np.empty_like(Dt)
+    for j in range(p):
+        Zt[..., j, :] = (Dt[..., j, :] - (T[..., j, None, :j] @ Zt[..., :j, :])[..., 0, :]) / T[..., j, j, None]
+    return np.swapaxes(Zt, -1, -2)
 
 
 def _per_sample(total: np.ndarray) -> float | np.ndarray:

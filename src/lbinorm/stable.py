@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .core import not_a_knot_coefficients as _not_a_knot_coefficients
+from .core import uniform_cubic
 from .errors import AlphaOne, InversionUnconverged
 from .scores import TAIL_SUBGAUSSIAN_DOMINATING, ScoreFunction
 
@@ -38,7 +40,9 @@ __all__ = [
 # Points per chunk of a score evaluation: bounds its temporaries at any n.
 SCORE_CHUNK = 2**16
 # Elements of one (points x frequency nodes) phase block of the inversion.
-PHASE_BLOCK = 2**20
+PHASE_BLOCK = 2**18
+# Central-difference step of the score's derivative outside its grid.
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,17 +133,10 @@ def _panel_edges(max_abs_x: float, cfg: InversionConfig, nodes: int) -> np.ndarr
     return np.unique(np.asarray(edges))
 
 
-def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: int) -> np.ndarray:
-    """Evaluate the inversion integral for an array of x with given node budget.
-
-    The cosine integral is even in x and the sine integral odd, so both
-    are evaluated once per distinct |x| and combined as C(|x|) + sgn(x) S(|x|).
-    The panels are sized by the largest |x| of the whole call; the phase
-    matrix is built for at most ``PHASE_BLOCK`` (point, node) pairs at once.
-    """
-    x = x.ravel()
-    ax, where = np.unique(np.abs(x), return_inverse=True)
-    edges = _panel_edges(float(np.max(ax, initial=0.0)), cfg, nodes)
+def _panel_rule(max_abs_x: float, cfg: InversionConfig, nodes: int):
+    """Frequency nodes and the cosine and sine weights of the panels sized
+    for ``max_abs_x``."""
+    edges = _panel_edges(max_abs_x, cfg, nodes)
     u, w = leggauss(16)
     # all panel nodes as one flat array
     half = 0.5 * np.diff(edges)
@@ -149,47 +146,36 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
     with np.errstate(divide="ignore"):
         logt = np.where(tt > 0.0, np.log(tt), 0.0)
     damp = np.exp(-(tt * tt))
-    w_cos = ww * (tt * tt * logt * damp)
-    w_sin = ww * ((tt - tt * tt) * damp)
+    return tt, ww * (tt * tt * logt * damp), ww * ((tt - tt * tt) * damp)
+
+
+def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: int) -> np.ndarray:
+    """Evaluate the inversion integral for an array of x with given node budget.
+
+    The cosine integral is even in x and the sine integral odd, so both
+    are evaluated once per distinct |x| and combined as C(|x|) + sgn(x) S(|x|).
+    The panels of a point are sized for max(4, ceil(|x|)), and every sum
+    runs over one point's nodes alone, so a value does not depend on the
+    other points of the call.  The phase matrix is built for at most
+    ``PHASE_BLOCK`` (point, node) pairs at once.
+    """
+    x = x.ravel()
+    ax, where = np.unique(np.abs(x), return_inverse=True)
+    # the |x| each point's panels are sized for, ascending with ax
+    sized = np.maximum(np.ceil(ax), 4.0)
     even = np.empty(ax.size)
     odd = np.zeros(ax.size)
-    rows = max(1, PHASE_BLOCK // tt.size)
-    for lo in range(0, ax.size, rows):
-        phase = np.outer(ax[lo:lo + rows], tt)
-        even[lo:lo + rows] = (1.0 / math.pi) * (np.cos(phase) @ w_cos)
-        if beta != 0.0:
-            odd[lo:lo + rows] = (beta / 2.0) * (np.sin(phase) @ w_sin)
+    for bound in np.unique(sized):
+        tt, w_cos, w_sin = _panel_rule(float(bound), cfg, nodes)
+        first, stop = np.searchsorted(sized, [bound, bound + 1.0])
+        rows = max(1, PHASE_BLOCK // tt.size)
+        for lo in range(first, stop, rows):
+            hi = min(lo + rows, stop)
+            phase = np.outer(ax[lo:hi], tt)
+            even[lo:hi] = (1.0 / math.pi) * np.einsum("ij,j->i", np.cos(phase), w_cos)
+            if beta != 0.0:
+                odd[lo:hi] = (beta / 2.0) * np.einsum("ij,j->i", np.sin(phase), w_sin)
     return even[where] + np.sign(x) * odd[where]
-
-
-def _not_a_knot_coefficients(y: np.ndarray, step: float) -> np.ndarray:
-    """Not-a-knot cubic spline through y on a uniform grid.
-
-    Returns the cubic, quadratic, linear and constant coefficient of each
-    cell as the rows of a (4, len(y) - 1) array.  The knot slopes solve one
-    tridiagonal system (interior rows 1 4 1, end rows 1 2 and 2 1), here by
-    one forward and one back sweep in O(len(y)).
-    """
-    secant = np.diff(y) / step
-    rhs = np.empty(y.size)
-    rhs[0] = 0.5 * (5.0 * secant[0] + secant[1])
-    rhs[1:-1] = 3.0 * (secant[:-1] + secant[1:])
-    rhs[-1] = 0.5 * (secant[-2] + 5.0 * secant[-1])
-    rhs = rhs.tolist()
-    last = len(rhs) - 1
-    # forward sweep: row i becomes s_i + upper[i] s_(i+1) = rhs[i]
-    upper = [2.0] * last
-    for i in range(1, last):
-        piv = 4.0 - upper[i - 1]
-        upper[i] = 1.0 / piv
-        rhs[i] = (rhs[i] - rhs[i - 1]) / piv
-    slopes = [0.0] * (last + 1)
-    slopes[last] = (rhs[last] - 2.0 * rhs[last - 1]) / (1.0 - 2.0 * upper[last - 1])
-    for i in range(last - 1, -1, -1):
-        slopes[i] = rhs[i] - upper[i] * slopes[i + 1]
-    s = np.asarray(slopes)
-    bend = (s[:-1] + s[1:] - 2.0 * secant) / step
-    return np.stack([bend / step, (secant - s[:-1]) / step - bend, s[:-1], y[:-1]])
 
 
 def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None, check: bool = True):
@@ -231,6 +217,8 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     interpolated with a not-a-knot cubic spline, evaluated by Horner in
     the grid cell found by division (no search); evaluations outside the
     grid fall back to direct inversion, all of one call's in one batch.
+    The derivative is the spline's own inside the grid and the central
+    difference (step ``FD_STEP``) of the direct inversion outside it.
     The tail grows like exp(x^2/4)/|x|^3, so the score is not square
     integrable under the Gaussian weight.
     """
@@ -241,39 +229,27 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     # exactly symmetric, so the inversion runs once per distinct |x|
     grid = step * (np.arange(npts) - 0.5 * (npts - 1))
     y = np.asarray(stable_density_derivative(grid, beta, cfg)) / normal_var2_pdf(grid)
-    c3, c2, c1, c0 = _not_a_knot_coefficients(y, step)
-    knots = grid[:-1]
+    coef = _not_a_knot_coefficients(y, step)
+    slope = coef[:3] * np.array([[3.0], [2.0], [1.0]])
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        flat = x.ravel()
-        out = np.empty_like(flat)
-        outside = []
-        for lo in range(0, flat.size, SCORE_CHUNK):
-            xc = flat[lo:lo + SCORE_CHUNK]
-            inside = np.abs(xc) <= half
-            xs = np.where(inside, xc, 0.0)
-            cell = ((xs + half) / step).astype(np.intp)
-            np.clip(cell, 0, npts - 2, out=cell)
-            dx = xs - knots.take(cell)
-            val = c3.take(cell)
-            for c in (c2, c1, c0):
-                val *= dx
-                val += c.take(cell)
-            out[lo:lo + SCORE_CHUNK] = val
-            if not inside.all():
-                outside.append(lo + np.flatnonzero(~inside))
-        if outside:
-            idx = np.concatenate(outside)
-            xo = flat[idx]
-            out[idx] = np.asarray(
-                stable_density_derivative(xo, beta, cfg, check=False)
-            ) / normal_var2_pdf(xo)
-        return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    def direct(x):
+        return np.asarray(stable_density_derivative(x, beta, cfg, check=False)) / normal_var2_pdf(x)
+
+    def direct_slope(x):
+        v = direct(np.concatenate([x + FD_STEP, x - FD_STEP]))
+        return (v[:x.size] - v[x.size:]) / (2.0 * FD_STEP)
+
+    def on_grid(rows, beyond):
+        def evaluate(x):
+            out = uniform_cubic(rows, half, step, x, beyond, SCORE_CHUNK)
+            return float(out) if out.ndim == 0 else out
+
+        return evaluate
 
     return ScoreFunction(
-        evaluate=evaluate,
+        evaluate=on_grid(coef, direct),
         family_label=f"stable:beta={beta:g}",
         tail_class=TAIL_SUBGAUSSIAN_DOMINATING,
+        derivative=on_grid(slope, direct_slope),
         fingerprint=repr(cfg),
     )

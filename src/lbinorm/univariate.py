@@ -18,7 +18,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import block_substreams, power_sums, standardized_moment
+from .core import (block_substreams, not_a_knot_coefficients, power_sums,
+                   standardized_moment, uniform_cubic)
 from .errors import QuadratureUnconverged, ScoreOverflow
 from .scores import ScoreFunction
 
@@ -35,6 +36,16 @@ __all__ = [
     "kurtosis",
     "null_integral_quadrature",
 ]
+
+# Grid points of a tabulated kernel, on |x| <= min(TABLE_HALFWIDTH, sqrt(n - 1)).
+# Beyond 3, at n = 20, more and more nodes leave the stable score's grid and
+# each costs a direct inversion, so the table stops there.
+TABLE_POINTS = 513
+TABLE_HALFWIDTH = 3.0
+# Extra grid points fitted past each end of the table (see LbiKernel._table).
+TABLE_MARGIN = 4
+# Values per score call of the direct node sum: bounds its temporaries.
+NODE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -69,36 +80,79 @@ class LbiKernel:
     Called on a (m, n) batch of residuals, it returns sum_i K_n(z_i) per row.
     For a polynomial score sum_j c_j x^j, K_n has coefficients ``kappa[s] =
     sum_j c_j C(j, s) M[j-s, s]``, M[r, s] = sum_k w_k a_k^r b_k^s, applied
-    through power sums; the closed form has ``kappa`` only.  Other scores are
-    summed over the nodes, one row and at most ``block`` nodes per score
-    call: the stable score's out-of-grid fallback sizes its panels by the
-    largest |x| in a call.
+    through power sums; the closed form has ``kappa`` only.  Other scores
+    are tabulated once on ``TABLE_POINTS`` points of |x| <= ``halfwidth``
+    and read off a not-a-knot cubic, built on the first call with more
+    points than the table has; smaller calls, and points beyond the
+    table, take the direct node sum (``direct``).
     """
 
     kappa: Optional[np.ndarray] = None  # lowest degree first
     score: Optional[ScoreFunction] = None
     nodes: tuple = ()
-    block: int = 0
+    halfwidth: float = 0.0
 
     def __call__(self, z) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=float))
         if self.kappa is not None:
             return power_sums(z, self.kappa.size - 1) @ self.kappa
-        return np.array([self.nodes[2] @ self.node_sums(zi) for zi in z])
+        x = z.ravel()
+        if x.size <= TABLE_POINTS:
+            values = self.direct(x)
+        else:
+            coef, h = self._table, self.halfwidth
+            values = uniform_cubic(coef, h, 2.0 * h / coef.shape[1], x, self.direct)
+        return values.reshape(z.shape).sum(axis=1)
+
+    def direct(self, x) -> np.ndarray:
+        """K_n at each point of a flat array by the direct node sum, at most
+        ``NODE_BLOCK`` values per score call."""
+        a, b, w = self.nodes
+        out = np.zeros(x.size)
+        rows = max(1, NODE_BLOCK // a.size)
+        cols = min(a.size, NODE_BLOCK)
+        for lo in range(0, x.size, rows):
+            xs = x[lo:lo + rows, None]
+            for k in range(0, a.size, cols):
+                vals = self._score(a[k:k + cols] + b[k:k + cols] * xs)
+                out[lo:lo + rows] += (vals * w[k:k + cols]).sum(axis=1)
+        return out
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """Spline coefficient rows of K_n on the cells of |x| <= halfwidth,
+        checked against the direct node sum at the midpoint of every 8th
+        cell.  The spline is fitted through ``TABLE_MARGIN`` more points on
+        each side, so that its larger error in the end cells stays outside."""
+        h, cells = self.halfwidth, TABLE_POINTS - 1
+        step = 2.0 * h / cells
+        grid = step * np.arange(-TABLE_MARGIN, cells + TABLE_MARGIN + 1) - h
+        values = self.direct(grid)
+        coef = not_a_knot_coefficients(values, step)[:, TABLE_MARGIN:TABLE_MARGIN + cells]
+        mid = grid[TABLE_MARGIN:-TABLE_MARGIN - 1:8] + 0.5 * step
+        gap = np.max(np.abs(uniform_cubic(coef, h, step, mid, None) - self.direct(mid)))
+        if gap > 1e-8 * np.max(np.abs(values)):
+            raise QuadratureUnconverged(
+                f"kernel table is off the node sum by {gap:.3e} between grid points"
+            )
+        return coef
 
     def node_sums(self, z) -> np.ndarray:
         """sum_i l(a_k + b_k z_i) at every node k, for one sample z."""
         a, b, _ = self.nodes
         if self.kappa is not None:
             return _poly_design(self.score.polynomial_coeffs, a, b) @ power_sums(z, self.kappa.size - 1)
-        sums = []
-        for lo in range(0, a.size, self.block):
-            vals = np.asarray(self.score(a[lo:lo + self.block, None]
-                                         + b[lo:lo + self.block, None] * z[None, :]))
-            if not np.all(np.isfinite(vals)):
-                raise ScoreOverflow("score produced a non-finite value at a kernel node")
-            sums.append(vals.sum(axis=1))
-        return np.concatenate(sums)
+        rows = max(1, NODE_BLOCK // z.size)
+        return np.concatenate([
+            self._score(a[lo:lo + rows, None] + b[lo:lo + rows, None] * z[None, :]).sum(axis=1)
+            for lo in range(0, a.size, rows)
+        ])
+
+    def _score(self, x) -> np.ndarray:
+        vals = np.asarray(self.score(x))
+        if not np.all(np.isfinite(vals)):
+            raise ScoreOverflow("score produced a non-finite value at a kernel node")
+        return vals
 
 
 def _binomial_table(coeffs) -> np.ndarray:
@@ -115,13 +169,15 @@ def _poly_design(coeffs, a, b) -> np.ndarray:
     return (np.vander(a, d, increasing=True) @ table) * np.vander(b, d, increasing=True)
 
 
-def _node_kernel(score: ScoreFunction, a, b, w, block: int) -> LbiKernel:
+def _node_kernel(score: ScoreFunction, a, b, w, n: int) -> LbiKernel:
     kappa = None
     if score.polynomial_coeffs is not None:
         kappa = w @ _poly_design(score.polynomial_coeffs, a, b)
         if not np.all(np.isfinite(kappa)):
             raise ScoreOverflow("polynomial kernel coefficient is not finite")
-    return LbiKernel(kappa=kappa, score=score, nodes=(a, b, w), block=block)
+    # standardized residuals have |z| <= sqrt(n - 1) (Samuelson's bound)
+    return LbiKernel(kappa=kappa, score=score, nodes=(a, b, w),
+                     halfwidth=min(TABLE_HALFWIDTH, math.sqrt(n - 1)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -145,10 +201,10 @@ def _ab_rule(n: int, cfg: QuadratureConfig):
 
 
 def exact_kernel(score: ScoreFunction, n: int, cfg: QuadratureConfig | None = None) -> LbiKernel:
-    """Kernel on the product grid of ``_ab_rule``, all nodes in one score call."""
+    """Kernel on the product grid of ``_ab_rule``."""
     a, wa, b, wb = _ab_rule(n, cfg or QuadratureConfig())
     return _node_kernel(score, np.repeat(a, b.size), np.tile(b, a.size),
-                        np.outer(wa, wb).ravel(), a.size * b.size)
+                        np.outer(wa, wb).ravel(), n)
 
 
 def mc_kernel(score: ScoreFunction, n: int, reps: int, seed: int,
@@ -161,7 +217,7 @@ def mc_kernel(score: ScoreFunction, n: int, reps: int, seed: int,
               np.sqrt(rng.chisquare(n - 1, size=m)) / math.sqrt(n))
              for rng, m in block_substreams((seed,), reps, block_size)]
     a, b = (np.concatenate(v) for v in zip(*draws))
-    return _node_kernel(score, a, b, np.full(reps, 1.0 / reps), block_size)
+    return _node_kernel(score, a, b, np.full(reps, 1.0 / reps), n)
 
 
 def closed_form_kernel(coeffs, n: int) -> LbiKernel:
@@ -182,7 +238,8 @@ def closed_form_kernel(coeffs, n: int) -> LbiKernel:
 
 
 def lbi_exact(z, score: ScoreFunction, cfg: QuadratureConfig | None = None, check: bool = True) -> LbiStatistic:
-    """Exact LBI statistic by 2-D quadrature of the summed score.
+    """Exact LBI statistic by 2-D quadrature of the summed score, summed
+    over the nodes directly (never from a kernel table).
 
     With ``check`` both node counts are doubled; a relative drift above
     ``cfg.rtol`` raises QuadratureUnconverged.
@@ -192,10 +249,14 @@ def lbi_exact(z, score: ScoreFunction, cfg: QuadratureConfig | None = None, chec
     if n < 3:
         raise ValueError("need n >= 3")
     cfg = cfg or QuadratureConfig()
-    value = float(exact_kernel(score, n, cfg)(z)[0])
+
+    def value_on(rule):
+        kernel = exact_kernel(score, n, rule)
+        return float(kernel(z)[0] if kernel.kappa is not None else kernel.direct(z).sum())
+
+    value = value_on(cfg)
     if check:
-        fine = replace(cfg, a_nodes=2 * cfg.a_nodes, b_nodes=2 * cfg.b_nodes)
-        value_fine = float(exact_kernel(score, n, fine)(z)[0])
+        value_fine = value_on(replace(cfg, a_nodes=2 * cfg.a_nodes, b_nodes=2 * cfg.b_nodes))
         if abs(value_fine - value) > cfg.rtol * max(abs(value_fine), 1e-300):
             raise QuadratureUnconverged(
                 f"value moved from {value:.12e} to {value_fine:.12e} under node doubling"
@@ -252,8 +313,8 @@ def profile_likelihood_statistic(z, h: ScoreFunction, fd_step: float = 1e-6):
     """Profile-likelihood statistic sum_i z_i * h'(z_i) over the last axis:
     a float for one sample, an array for a (m, n) batch.
 
-    The derivative is analytic for polynomial scores and by central
-    differences otherwise.
+    The derivative is the score's own where it has one (polynomial and
+    stable scores) and by central differences otherwise.
     """
     z = np.asarray(z, dtype=float)
     if h.derivative is not None:

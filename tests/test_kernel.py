@@ -1,10 +1,14 @@
-"""The LBI kernel: moment form against the direct node sum, the closed
-form's valid range, power sums and the block-substream contract."""
+"""The LBI kernel: moment form and kernel table against the direct node
+sum, the closed form's valid range, power sums and the block-substream
+contract."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from lbinorm import univariate
 
 from lbinorm.calibration import (
     BLOCK_SIZE,
@@ -15,10 +19,20 @@ from lbinorm.calibration import (
     power_curve,
     sample_alternative,
 )
+from lbinorm.cli import parse_score
 from lbinorm.core import power_sums, standardize
-from lbinorm.errors import ScoreOverflow
+from lbinorm.errors import QuadratureUnconverged, ScoreOverflow
 from lbinorm.scores import score_gh_limit, score_hermite
-from lbinorm.univariate import lbi_closed_form, lbi_exact, lbi_monte_carlo
+from lbinorm.stable import InversionConfig, score_stable
+from lbinorm.univariate import (
+    TABLE_HALFWIDTH,
+    TABLE_POINTS,
+    exact_kernel,
+    lbi_closed_form,
+    lbi_exact,
+    lbi_monte_carlo,
+    mc_kernel,
+)
 
 
 class TestMomentKernel:
@@ -124,3 +138,72 @@ class TestBlockSubstreams:
                 x = sample_alternative(AlternativeSpec("student-t", shape), n, rng, size=(m, n))
                 rejected += int(np.sum(spec.compute_batch(x) > crit))
             assert rows[gi]["power"] == rejected / reps
+
+
+def _direct_rows(kernel, z):
+    """Row sums of K_n(z_i) by the direct node sum, and sum_i |K_n(z_i)| per
+    row: the scale of a row's error, as its value can cancel to near zero."""
+    values = kernel.direct(z.ravel()).reshape(z.shape)
+    return values.sum(axis=1), np.abs(values).sum(axis=1)
+
+
+class TestKernelTable:
+    """A non-polynomial score's kernel read off its table against the direct node sum."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("n,rows", [(5, 170), (20, 100), (200, 30)])
+    def test_batch_matches_lbi_exact(self, beta, n, rows):
+        # at n = 5 the nodes reach |x| ~ 19; a score grid out to 20 keeps them
+        # all on it, where the 12 of the default grid sends each to an inversion
+        score = score_stable(beta, InversionConfig(grid_halfwidth=20.0) if n == 5 else None)
+        rng = np.random.default_rng(n)
+        # t3 rows put residuals beyond the table's |x| <= 3
+        x = np.vstack([rng.normal(size=(rows // 2, n)), rng.standard_t(3, size=(rows - rows // 2, n))])
+        z = np.array([standardize(xi) for xi in x])
+        assert z.size > TABLE_POINTS
+        if n > 10:
+            assert np.any(np.abs(z) > TABLE_HALFWIDTH)
+        got = make_statistic("lbi-exact", score=score).compute_batch(x)
+        # lbi_exact(check=False) sums the same direct values row by row
+        ref, scale = _direct_rows(exact_kernel(score, n), z)
+        assert [lbi_exact(zi, score, check=False).value for zi in z[:2]] == list(ref[:2])
+        assert np.all(np.abs(got - ref) <= 1e-8 * scale)
+
+    def test_small_batch_builds_no_table(self, stable_score0):
+        x = np.random.default_rng(7).standard_t(3, size=(2, 20))
+        z = np.array([standardize(xi) for xi in x])
+        assert z.size <= TABLE_POINTS
+        kernel = exact_kernel(stable_score0, 20)
+        values = kernel(z)
+        assert "_table" not in vars(kernel)
+        ref = [lbi_exact(zi, stable_score0, check=False).value for zi in z]
+        np.testing.assert_array_equal(values, ref)
+        np.testing.assert_array_equal(make_statistic("lbi-exact", score=stable_score0).compute_batch(x), ref)
+
+    def test_monte_carlo_kernel_on_the_table(self):
+        score = parse_score("contam:normal-scale-2")
+        n, mc_reps, mc_seed = 20, 2000, 4
+        x = np.random.default_rng(8).standard_t(5, size=(40, n))
+        z = np.array([standardize(xi) for xi in x])
+        got = make_statistic("lbi-mc", score=score, mc_reps=mc_reps, mc_seed=mc_seed).compute_batch(x)
+        ref = np.array([lbi_monte_carlo(zi, score, mc_reps, mc_seed).value for zi in z])
+        _, scale = _direct_rows(mc_kernel(score, n, mc_reps, mc_seed), z)
+        assert np.all(np.abs(got - ref) <= 1e-8 * scale)
+
+    def test_memory_bounded(self, stable_score0):
+        x = np.random.default_rng(9).standard_t(5, size=(1000, 20))
+        spec = make_statistic("lbi-exact", score=stable_score0)
+        tracemalloc.start()
+        try:
+            values = spec.compute_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(values))
+        assert peak <= 32 * 2**20
+
+    def test_midpoint_check_raises_on_a_coarse_table(self, stable_score0, monkeypatch):
+        monkeypatch.setattr(univariate, "TABLE_POINTS", 9)
+        x = np.random.default_rng(10).normal(size=(1, 200))
+        with pytest.raises(QuadratureUnconverged, match="between grid points"):
+            make_statistic("lbi-exact", score=stable_score0).compute_batch(x)

@@ -220,3 +220,12 @@ class TestStackedSamples:
         X[4, :, 1] = 2.0
         with pytest.raises(SingularCovariance):
             whiten(X)
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_whiten_stack_matches_general_solve(p):
+    X = np.random.default_rng(40 + p).normal(size=(25, p + 6, p)) @ (np.eye(p) + 0.4 * np.ones((p, p)))
+    D = X - X.mean(axis=-2, keepdims=True)
+    T = np.linalg.cholesky(np.swapaxes(D, -1, -2) @ D / X.shape[-2])
+    ref = np.swapaxes(np.linalg.solve(T, np.swapaxes(D, -1, -2)), -1, -2)
+    np.testing.assert_allclose(whiten(X), ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))

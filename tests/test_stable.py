@@ -260,3 +260,42 @@ class TestNotAKnotSpline:
         x = np.concatenate([np.random.default_rng(6).uniform(-12.0, 12.0, 10**5), grid, [-12.0, 12.0]])
         ref = spline(x)
         assert np.all(np.abs(score(x) - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+class TestScoreDerivative:
+    """The score's own derivative against the central difference of its values."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_matches_central_differences(self, beta):
+        cfg = InversionConfig()
+        score = score_stable(beta, cfg)
+        grid = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, 2401)
+        rng = np.random.default_rng(11)
+        outside = rng.uniform(12.0, 30.0, 100) * rng.choice([-1.0, 1.0], 100)
+        # at the two grid ends the difference would take one side from the
+        # spline and the other from the inversion; they are checked below
+        x = np.concatenate([rng.uniform(-12.0, 12.0, 10**5), grid[1:-1], outside])
+        ref = (score(x + 1e-6) - score(x - 1e-6)) / 2e-6
+        scale = np.maximum(1.0, np.abs(score(x)))
+        assert np.all(np.abs(score.derivative(x) - ref) <= 1e-7 * scale)
+        # the spline's slope at its ends, from its own second-order one-sided difference
+        h = 1e-6
+        for end, side in ((grid[0], 1.0), (grid[-1], -1.0)):
+            pts = end + side * h * np.arange(3)
+            one_sided = side * (-3.0 * score(pts[0]) + 4.0 * score(pts[1]) - score(pts[2])) / (2.0 * h)
+            assert abs(score.derivative(end) - one_sided) <= 1e-7 * max(1.0, abs(score(end)))
+
+    def test_one_spline_pass_and_one_inversion(self, stable_score0, monkeypatch):
+        x = np.array([[0.5, -3.0, 13.0], [-20.0, 11.9, 2.0]])
+        calls = []
+        inner = stable.stable_density_derivative
+
+        def counted(xo, *args, **kwargs):
+            calls.append(np.size(xo))
+            return inner(xo, *args, **kwargs)
+
+        monkeypatch.setattr(stable, "stable_density_derivative", counted)
+        d = stable_score0.derivative(x)
+        assert d.shape == x.shape
+        # the two out-of-grid points, each at x + h and x - h, in one call
+        assert calls == [4]
