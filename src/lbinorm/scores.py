@@ -42,7 +42,10 @@ class ScoreFunction:
     first); when present, ``evaluate`` is exactly the polynomial.
     ``fingerprint`` is the canonical text of the settings the score was
     built under (empty if none); it is part of every cache key of a
-    calibration that uses the score.
+    calibration that uses the score.  ``log_bound``, where present, is a
+    rigorous bound on log |l(y)| at every finite y; a kernel drops the
+    nodes it proves negligible (see ``univariate.LbiKernel``).  Scores
+    without it are summed over every node.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -53,6 +56,9 @@ class ScoreFunction:
         default=None, compare=False
     )
     fingerprint: str = ""
+    log_bound: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, compare=False
+    )
 
     def __call__(self, x):
         return self.evaluate(np.asarray(x, dtype=float))

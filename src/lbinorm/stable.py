@@ -221,6 +221,12 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     difference (step ``FD_STEP``) of the direct inversion outside it.
     The tail grows like exp(x^2/4)/|x|^3, so the score is not square
     integrable under the Gaussian weight.
+
+    ``log_bound`` is log E(x) for the envelope E(x) = 2 D sqrt(4 pi)
+    exp(x^2/4), where D = (1/pi) sum |w_cos| + (|beta|/2) sum |w_sin| over
+    the inversion's panel weights bounds |d(x)| at every x.  Those sums
+    agree across the panel rules of all x to ~1e-16; the factor 2 also
+    covers the spline between its knots.
     """
     cfg = cfg or InversionConfig()
     half = cfg.grid_halfwidth
@@ -234,6 +240,13 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
 
     def direct(x):
         return np.asarray(stable_density_derivative(x, beta, cfg, check=False)) / normal_var2_pdf(x)
+
+    _, w_cos, w_sin = _panel_rule(4.0, cfg, cfg.nodes)
+    log_envelope = math.log(2.0 * math.sqrt(4.0 * math.pi) * (
+        np.abs(w_cos).sum() / math.pi + 0.5 * abs(beta) * np.abs(w_sin).sum()))
+
+    def log_bound(x):
+        return log_envelope + 0.25 * (x * x)
 
     def direct_slope(x):
         v = direct(np.concatenate([x + FD_STEP, x - FD_STEP]))
@@ -252,4 +265,5 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
         tail_class=TAIL_SUBGAUSSIAN_DOMINATING,
         derivative=on_grid(slope, direct_slope),
         fingerprint=repr(cfg),
+        log_bound=log_bound,
     )

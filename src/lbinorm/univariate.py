@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 # Grid points of a tabulated kernel, on |x| <= min(TABLE_HALFWIDTH, sqrt(n - 1)).
-# Beyond 3, at n = 20, more and more nodes leave the stable score's grid and
-# each costs a direct inversion, so the table stops there.
+# Measured for the stable score at n = 20: on |x| <= 3 the build inverts no
+# point; on |x| <= 4 it still inverts ~27 000 nodes that the tail bound cannot
+# drop (~0.75 s against ~0.12 s); out to sqrt(19) the midpoint check fails
+# (a gap of 6.5e-12 between grid points, above 1e-8 * max |K_n|).
 TABLE_POINTS = 513
 TABLE_HALFWIDTH = 3.0
 # Extra grid points fitted past each end of the table (see LbiKernel._table).
@@ -106,17 +108,40 @@ class LbiKernel:
 
     def direct(self, x) -> np.ndarray:
         """K_n at each point of a flat array by the direct node sum, at most
-        ``NODE_BLOCK`` values per score call."""
+        ``NODE_BLOCK`` values per score call.  A (point, node) pair whose
+        term is provably negligible (``_log_floor``) is not evaluated and
+        adds 0 to the sum."""
         a, b, w = self.nodes
+        floor = self._log_floor
         out = np.zeros(x.size)
         rows = max(1, NODE_BLOCK // a.size)
         cols = min(a.size, NODE_BLOCK)
         for lo in range(0, x.size, rows):
             xs = x[lo:lo + rows, None]
             for k in range(0, a.size, cols):
-                vals = self._score(a[k:k + cols] + b[k:k + cols] * xs)
+                y = a[k:k + cols] + b[k:k + cols] * xs
+                if floor is None:
+                    vals = self._score(y)
+                else:
+                    keep = self.score.log_bound(y) > floor[k:k + cols]
+                    vals = np.zeros_like(y)
+                    vals[keep] = self._score(y[keep])
                 out[lo:lo + rows] += (vals * w[k:k + cols]).sum(axis=1)
         return out
+
+    @functools.cached_property
+    def _log_floor(self) -> Optional[np.ndarray]:
+        """log(eps S / |w_k|) per node, below which the score's log bound at
+        a + b x proves the term |w_k l(a_k + b_k x)| negligible; None for a
+        score without ``log_bound``.  S = sum |w_k| * max |l| on |y| <= 1 is
+        the scale of the sum, and eps = 2**-53 / node count keeps all that
+        is dropped at one point under one unit roundoff of S."""
+        if self.score.log_bound is None:
+            return None
+        _, _, w = self.nodes
+        scale = np.abs(w).sum() * np.max(np.abs(self._score(np.linspace(-1.0, 1.0, 257))))
+        with np.errstate(divide="ignore"):
+            return np.log(2.0**-53 / w.size * scale) - np.log(np.abs(w))
 
     @functools.cached_property
     def _table(self) -> np.ndarray:
@@ -239,7 +264,9 @@ def closed_form_kernel(coeffs, n: int) -> LbiKernel:
 
 def lbi_exact(z, score: ScoreFunction, cfg: QuadratureConfig | None = None, check: bool = True) -> LbiStatistic:
     """Exact LBI statistic by 2-D quadrature of the summed score, summed
-    over the nodes directly (never from a kernel table).
+    over the nodes directly (never from a kernel table).  That is the same
+    sum as ``LbiKernel.direct``: for a score with a ``log_bound``, the
+    (point, node) pairs it proves below one unit roundoff are skipped.
 
     With ``check`` both node counts are doubled; a relative drift above
     ``cfg.rtol`` raises QuadratureUnconverged.

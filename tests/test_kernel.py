@@ -3,12 +3,14 @@ sum, the closed form's valid range, power sums and the block-substream
 contract."""
 
 import dataclasses
+import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lbinorm import univariate
+from lbinorm import stable, univariate
 
 from lbinorm.calibration import (
     BLOCK_SIZE,
@@ -207,3 +209,63 @@ class TestKernelTable:
         x = np.random.default_rng(10).normal(size=(1, 200))
         with pytest.raises(QuadratureUnconverged, match="between grid points"):
             make_statistic("lbi-exact", score=stable_score0).compute_batch(x)
+
+
+@functools.cache
+def _stable_score(beta):
+    return score_stable(beta)
+
+
+def _count_inversion_points(monkeypatch):
+    """Patch the stable inversion to count the points it is called for."""
+    points = [0]
+    inner = stable.stable_density_derivative
+
+    def counted(x, *args, **kwargs):
+        points[0] += np.size(x)
+        return inner(x, *args, **kwargs)
+
+    monkeypatch.setattr(stable, "stable_density_derivative", counted)
+    return points
+
+
+class TestKernelPruning:
+    """Nodes dropped by the stable score's tail bound against the full node sum."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("n", [5, 8, 20])
+    def test_matches_the_full_node_sum(self, beta, n):
+        score = _stable_score(beta)
+        full = dataclasses.replace(score, log_bound=None)
+        kernel, reference = exact_kernel(score, n), exact_kernel(full, n)
+        # every 32nd table point, both ends included, the midpoints between
+        # them, and residuals beyond the table out to Samuelson's bound
+        h = kernel.halfwidth
+        grid = np.linspace(-h, h, TABLE_POINTS)[::32]
+        x = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), np.linspace(h, math.sqrt(n - 1), 8)])
+        ref = reference.direct(x)
+        tol = 1e-15 * np.max(np.abs(ref))
+        assert np.all(np.abs(kernel.direct(x) - ref) <= tol)
+        z = standardize(np.random.default_rng(n).standard_t(3, size=n))
+        assert abs(lbi_exact(z, score).value - lbi_exact(z, full).value) <= tol
+
+    def test_monte_carlo_kernel_drops_nothing(self, stable_score0):
+        # uniform weights: no node's bound falls below eps * S
+        kernel = mc_kernel(stable_score0, 20, 2000, 5)
+        reference = mc_kernel(dataclasses.replace(stable_score0, log_bound=None), 20, 2000, 5)
+        x = np.linspace(-math.sqrt(19.0), math.sqrt(19.0), 41)
+        np.testing.assert_array_equal(kernel.direct(x), reference.direct(x))
+
+    def test_table_at_n_20_inverts_nothing(self, stable_score0, monkeypatch):
+        kernel = exact_kernel(stable_score0, 20)
+        points = _count_inversion_points(monkeypatch)
+        assert kernel._table.shape == (4, TABLE_POINTS - 1)
+        assert points[0] == 0
+
+    def test_table_at_n_5_on_the_default_grid(self, stable_score0, monkeypatch):
+        # the full node sum inverted 220 599 points for this table (its
+        # midpoint check included), in 7-13 s
+        kernel = exact_kernel(stable_score0, 5)
+        points = _count_inversion_points(monkeypatch)
+        assert kernel._table.shape == (4, TABLE_POINTS - 1)
+        assert points[0] <= 22_059

@@ -299,3 +299,16 @@ class TestScoreDerivative:
         assert d.shape == x.shape
         # the two out-of-grid points, each at x + h and x - h, in one call
         assert calls == [4]
+
+
+class TestTailEnvelope:
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.5])
+    def test_bounds_the_score(self, beta):
+        cfg = InversionConfig()
+        score = score_stable(beta, cfg)
+        rng = np.random.default_rng(12)
+        knots = np.linspace(-cfg.grid_halfwidth, cfg.grid_halfwidth, 2401)
+        outside = rng.uniform(12.0, 30.0, 200) * rng.choice([-1.0, 1.0], 200)
+        x = np.concatenate([knots, rng.uniform(-12.0, 12.0, 10**5), outside])
+        with np.errstate(divide="ignore"):
+            assert np.all(np.log(np.abs(score(x))) <= score.log_bound(x))
