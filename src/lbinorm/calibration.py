@@ -197,7 +197,8 @@ def calibrate_null(
     """Empirical null distribution from standard-normal replications.
 
     Deterministic for fixed (seed, statistic, n, p, reps); reps below
-    1e4 are accepted but flagged.
+    1e4 are accepted but flagged.  A non-finite null value raises
+    ScoreOverflow: the statistic failed to evaluate at this n.
     """
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
@@ -211,6 +212,9 @@ def calibrate_null(
         statistic.compute_batch(rng.standard_normal((m, *shape)))
         for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)
     ])
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise ScoreOverflow(f"{statistic.label}: {bad} of {reps} null values at n = {n} are not finite")
     values.sort()
     return NullCalibration(
         statistic_label=statistic.label,
@@ -278,12 +282,134 @@ def _sample_stable_m(alpha: float, beta: float, size: int, rng) -> np.ndarray:
     return x - beta * tan_half
 
 
+def _gig_log_quasi_pdf(x, p: float, b: float) -> np.ndarray:
+    """log of the GIG quasi-density x^(p-1) exp(-b (x + 1/x) / 2); -inf at x <= 0."""
+    x = np.asarray(x)
+    pos = x > 0
+    out = np.full(x.shape, -np.inf)
+    xp = x[pos]
+    out[pos] = (p - 1) * np.log(xp) - b * (xp + 1 / xp) / 2
+    return out
+
+
+def _sample_gig(p: float, b: float, size, rng) -> np.ndarray:
+    """Generalized inverse Gaussian variates, density ∝ x^(p-1) exp(-b (x + 1/x) / 2).
+
+    Hörmann & Leydold, "Generating generalized inverse Gaussian random
+    variates", Stat. Comput. 24 (2014): ratio of uniforms with a mode
+    shift (p >= 1 or b > 1), ratio of uniforms without it (b >=
+    min(1/2, 2 sqrt(1 - p) / 3)), else their rejection from a
+    three-piece hat.  p < 0 draws 1/X for X ~ GIG(-p, b).  Every step,
+    down to the order of ``rng.uniform`` calls, is that of
+    ``scipy.stats.geninvgauss.rvs``, so the draws are bit-identical.
+    """
+    size = tuple(np.atleast_1d(size))
+    total = int(np.prod(size))
+    invert = p < 0
+    if invert:
+        p = -p
+    if p < 1:
+        m = b / (np.sqrt((p - 1)**2 + b**2) + 1 - p)
+    else:
+        m = (np.sqrt((1 - p)**2 + b**2) - (1 - p)) / b
+    x = np.zeros(total)
+    simulated = 0
+    mode_shift = p >= 1 or b > 1
+    if mode_shift or b >= min(0.5, 2 * np.sqrt(1 - p) / 3):
+        if mode_shift:
+            # ratio of uniforms around the mode: the bounding rectangle's
+            # v-range comes from two roots of x^3 + a2 x^2 + a1 x + m (Cardano)
+            a2 = -2 * (p + 1) / b - m
+            a1 = 2 * m * (p - 1) / b - 1
+            p1 = a1 - a2**2 / 3
+            q1 = 2 * a2**3 / 27 - a2 * a1 / 3 + m
+            phi = np.arccos(-q1 * np.sqrt(-27 / p1**3) / 2)
+            s1 = -np.sqrt(-4 * p1 / 3)
+            root1 = s1 * np.cos(phi / 3 + np.pi / 3) - a2 / 3
+            root2 = -s1 * np.cos(phi / 3) - a2 / 3
+            # relative to the quasi-density at the mode: the quasi-density
+            # itself overflows for large p and b
+            lm = _gig_log_quasi_pdf(m, p, b)
+            vmin = (root1 - m) * np.exp(0.5 * (_gig_log_quasi_pdf(root1, p, b) - lm))
+            vmax = (root2 - m) * np.exp(0.5 * (_gig_log_quasi_pdf(root2, p, b) - lm))
+            umax, c = 1, m
+        else:
+            lm = 0
+            umax = np.exp(0.5 * _gig_log_quasi_pdf(m, p, b))
+            xplus = ((1 + p) + np.sqrt((1 + p)**2 + b**2)) / b
+            vmin = 0
+            vmax = xplus * np.exp(0.5 * _gig_log_quasi_pdf(xplus, p, b))
+            c = 0
+        if vmin >= vmax:
+            raise ValueError("vmin must be smaller than vmax.")
+        if umax <= 0:
+            raise ValueError("umax must be positive.")
+        tries = 1
+        while simulated < total:
+            k = total - simulated
+            u = umax * rng.uniform(size=k)
+            v = vmin + (vmax - vmin) * rng.uniform(size=k)
+            draws = v / u + c
+            accept = 2 * np.log(u) <= _gig_log_quasi_pdf(draws, p, b) - lm
+            num = np.count_nonzero(accept)
+            x[simulated:simulated + num] = draws[accept]
+            simulated += num
+            if simulated == 0 and tries * total >= 50_000:
+                raise RuntimeError(
+                    f"Not a single random variate could be generated in {tries * total} "
+                    "attempts. Sampling does not appear to work for the provided parameters."
+                )
+            tries += 1
+    else:
+        # hat k1 on (0, x0), k2 x^(p-1) on (x0, 2/b), k3 exp(-b x / 2) beyond
+        x0 = b / (1 - p)
+        xs = np.max((x0, 2 / b))
+        k1 = np.exp(_gig_log_quasi_pdf(m, p, b))
+        A1 = k1 * x0
+        if x0 < 2 / b:
+            k2 = np.exp(-b)
+            A2 = k2 * ((2 / b)**p - x0**p) / p if p > 0 else k2 * np.log(2 / b**2)
+        else:
+            k2, A2 = 0, 0
+        k3 = xs**(p - 1)
+        A3 = 2 * k3 * np.exp(-xs * b / 2) / b
+        A = A1 + A2 + A3
+        while simulated < total:
+            k = total - simulated
+            h, draws = np.zeros(k), np.zeros(k)
+            u = rng.uniform(size=k)
+            v = A * rng.uniform(size=k)
+            cond1 = v <= A1
+            cond2 = np.logical_not(cond1) & (v <= A1 + A2)
+            cond3 = np.logical_not(cond1 | cond2)
+            draws[cond1] = x0 * v[cond1] / A1
+            h[cond1] = k1
+            if p > 0:
+                draws[cond2] = (x0**p + (v[cond2] - A1) * p / k2)**(1 / p)
+            else:
+                draws[cond2] = b * np.exp((v[cond2] - A1) * np.exp(b))
+            h[cond2] = k2 * draws[cond2]**(p - 1)
+            z = np.exp(-xs * b / 2) - b * (v[cond3] - A1 - A2) / (2 * k3)
+            draws[cond3] = -2 / b * np.log(z)
+            h[cond3] = k3 * np.exp(-draws[cond3] * b / 2)
+            accept = np.log(u * h) <= _gig_log_quasi_pdf(draws, p, b)
+            num = np.count_nonzero(accept)
+            x[simulated:simulated + num] = draws[accept]
+            simulated += num
+    x = x.reshape(size)
+    return 1 / x if invert else x
+
+
 def sample_alternative(spec: AlternativeSpec, n: int, rng=None, size=None) -> np.ndarray:
     """Draw i.i.d. observations from the named alternative family.
 
     Returns n draws, or an array of the given ``size`` (e.g. a
     (reps, n) batch).  shape = 0 returns exact draws from the null
     boundary (standard normal, or N(0,2) for the stable family).
+    ``gh-variance-mean`` is beta (Y - 1) + sqrt(Y) N(0, 1) with Y
+    generalized inverse Gaussian (index lam, b = 1/shape), drawn by
+    Hörmann & Leydold, "Generating generalized inverse Gaussian random
+    variates", Stat. Comput. 24 (2014) (``_sample_gig``).
     """
     rng = np.random.default_rng(spec.sampler_seed) if rng is None else rng
     size = n if size is None else size
@@ -320,9 +446,7 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng=None, size=None) -> np
         b = 1.0 / theta  # delta*gamma of the symmetric mixing law
         if not 0.0 < b <= 1e3:
             raise UnsupportedShape("shape outside the validated mixing envelope")
-        from scipy.stats import geninvgauss  # deferred: costs ~0.1 s of CLI start-up
-
-        y = geninvgauss.rvs(spec.lam, b, size=size, random_state=rng)
+        y = _sample_gig(spec.lam, b, size, rng)
         return -spec.beta + spec.beta * y + np.sqrt(y) * rng.standard_normal(size)
     raise UnsupportedShape(f"unknown family '{fam}'")
 

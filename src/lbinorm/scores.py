@@ -43,9 +43,10 @@ class ScoreFunction:
     ``fingerprint`` is the canonical text of the settings the score was
     built under (empty if none); it is part of every cache key of a
     calibration that uses the score.  ``log_bound``, where present, is a
-    rigorous bound on log |l(y)| at every finite y; a kernel drops the
-    nodes it proves negligible (see ``univariate.LbiKernel``).  Scores
-    without it are summed over every node.
+    rigorous bound on log |l(y)| at every finite y, smallest at y = 0 (the
+    stable envelope grows like y^2/4); a kernel drops the nodes it proves
+    negligible (see ``univariate.LbiKernel``).  Scores without it are
+    summed over every node.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]

@@ -135,13 +135,16 @@ class LbiKernel:
         a + b x proves the term |w_k l(a_k + b_k x)| negligible; None for a
         score without ``log_bound``.  S = sum |w_k| * max |l| on |y| <= 1 is
         the scale of the sum, and eps = 2**-53 / node count keeps all that
-        is dropped at one point under one unit roundoff of S."""
+        is dropped at one point under one unit roundoff of S.  None also when
+        every floor lies below the bound's minimum, at y = 0: then no pair can
+        be dropped (e.g. the uniform weights of an MC kernel)."""
         if self.score.log_bound is None:
             return None
         _, _, w = self.nodes
         scale = np.abs(w).sum() * np.max(np.abs(self._score(np.linspace(-1.0, 1.0, 257))))
         with np.errstate(divide="ignore"):
-            return np.log(2.0**-53 / w.size * scale) - np.log(np.abs(w))
+            floor = np.log(2.0**-53 / w.size * scale) - np.log(np.abs(w))
+        return None if floor.max() < self.score.log_bound(np.zeros(1))[0] else floor
 
     @functools.cached_property
     def _table(self) -> np.ndarray:

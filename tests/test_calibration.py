@@ -11,6 +11,8 @@ from lbinorm.calibration import (
     BLOCK_SIZE,
     AlternativeSpec,
     NullCalibration,
+    StatisticSpec,
+    _sample_gig,
     cache_path,
     calibrate_null,
     closed_form_weights,
@@ -187,6 +189,54 @@ class TestSampleAlternative:
             sample_alternative(AlternativeSpec("no-such-family", 0.1), 5, rng)
 
 
+class TestGigSampler:
+    """The numpy GIG sampler against scipy.stats.geninvgauss, draw for draw."""
+
+    @pytest.mark.parametrize("lam, b", [
+        (1.0, 5.0),    # ratio of uniforms with mode shift
+        (3.0, 0.2),    # the same, reached by lam >= 1 alone
+        (0.5, 0.6),    # ratio of uniforms without mode shift
+        (0.3, 0.1),    # Hörmann-Leydold rejection from a three-piece hat
+        (0.0, 0.3),    # the same with the logarithmic middle piece
+        (-2.0, 3.0),   # lam < 0: the reciprocal of a GIG(2, b) draw
+        (1.0, 1e3),    # the largest b that sample_alternative accepts
+    ])
+    @pytest.mark.parametrize("size", [7, (100, 20)])
+    def test_bit_identical_to_scipy(self, lam, b, size):
+        from scipy.stats import geninvgauss
+
+        ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        expected = geninvgauss.rvs(lam, b, size=size, random_state=ref_rng)
+        got = _sample_gig(lam, b, size, rng)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+        # both consumed the same number of uniforms
+        assert rng.uniform() == ref_rng.uniform()
+
+    @pytest.mark.parametrize("lam, b, error", [
+        (1e5, 1e-90, ValueError),     # the bounding rectangle collapses
+        (1.0, 1e-300, RuntimeError),  # no draw accepted in 50 000 tries
+    ])
+    def test_guards_match_scipy(self, lam, b, error):
+        from scipy.stats import geninvgauss
+
+        with np.errstate(all="ignore"):
+            with pytest.raises(error) as ours:
+                _sample_gig(lam, b, 1000, np.random.default_rng(1))
+            with pytest.raises(error) as theirs:
+                geninvgauss.rvs(lam, b, size=1000, random_state=np.random.default_rng(1))
+        assert str(ours.value) == str(theirs.value)
+
+    def test_variance_mean_draws_unchanged(self):
+        # the first draws of this seed when the mixing law came from scipy
+        spec = AlternativeSpec("gh-variance-mean", 0.5, beta=0.5)
+        x = sample_alternative(spec, 20, np.random.default_rng(11), size=(3, 20))
+        np.testing.assert_array_equal(x[0, :6], [
+            1.679800195090639, 0.4692680896177003, 2.6410688733162093,
+            -1.4685223081648757, 1.4198288736514684, -0.7751994987555733,
+        ])
+
+
 class TestPowerCurve:
     def test_size_at_null_boundary(self):
         spec = make_statistic("kurt")
@@ -269,6 +319,15 @@ class TestBadValues:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ScoreOverflow):
                 p_value(cal, bad)
+
+    def test_non_finite_null_value_raises(self):
+        def one_nan(x):
+            v = x.sum(axis=1)
+            v[17] = math.nan
+            return v
+
+        with pytest.raises(ScoreOverflow, match="1 of 2000 null values at n = 6"):
+            calibrate_null(StatisticSpec("one-nan", 1, one_nan), 6, 2000, seed=3)
 
     def test_cache_shorter_than_header(self, tmp_path):
         path = tmp_path / "short.lbical"

@@ -91,6 +91,29 @@ def test_stable_score_commands_run_without_scipy(tmp_path):
     assert _loaded_scipy(script)[-2:] == ["[0, 0, 0]", "[]"]
 
 
+def test_variance_mean_power_runs_without_scipy():
+    argv = ["power", "--test", "lbi-approx", "--score", "gh:beta=1", "--n", "20",
+            "--family", "gh-variance-mean", "--shapes", "0,0.2", "--reps", "1000",
+            "--power-reps", "2000", "--seed", "1", "--out", os.devnull]
+    script = ("import warnings; from lbinorm.cli import main\n"
+              "warnings.simplefilter('ignore')\n"
+              f"print(main({argv!r}))")
+    assert _loaded_scipy(script) == ["0", "[]"]
+
+
+def test_non_finite_null_exits_3_without_a_cache(tmp_path, capsys):
+    # the exact kernel's b-weights overflow at this n, so every null value is NaN
+    code = main([
+        "calibrate", "--test", "lbi-exact", "--score", "stable:beta=0", "--n", "10000",
+        "--reps", "1000", "--seed", "1", "--calibration-cache", str(tmp_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == ("error: lbi-exact(stable:beta=0): 1000 of 1000 null values "
+                   "at n = 10000 are not finite\n")
+    assert not list(tmp_path.glob("*.lbical"))
+
+
 def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
     common = ["--test", "mvn", "--n", "50", "--seed", "1"]
     runs = [["calibrate", *common, "--p", "1", "--calibration-cache", str(tmp_path)],

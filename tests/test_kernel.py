@@ -269,3 +269,24 @@ class TestKernelPruning:
         points = _count_inversion_points(monkeypatch)
         assert kernel._table.shape == (4, TABLE_POINTS - 1)
         assert points[0] <= 22_059
+
+
+class TestLogFloor:
+    """A kernel whose weights let no node be dropped never evaluates the tail bound."""
+
+    def test_monte_carlo_kernel_has_no_floor(self, stable_score0):
+        assert mc_kernel(stable_score0, 20, 5000, 0)._log_floor is None
+        assert exact_kernel(stable_score0, 20)._log_floor is not None
+
+    def test_monte_carlo_kernel_matches_the_unbounded_score(self, stable_score0):
+        calls = []
+
+        def counted(y):
+            calls.append(y.size)
+            return stable_score0.log_bound(y)
+
+        kernel = mc_kernel(dataclasses.replace(stable_score0, log_bound=counted), 20, 5000, 0)
+        reference = mc_kernel(dataclasses.replace(stable_score0, log_bound=None), 20, 5000, 0)
+        x = np.linspace(-math.sqrt(19.0), math.sqrt(19.0), 41)
+        np.testing.assert_array_equal(kernel.direct(x), reference.direct(x))
+        assert calls == [1]  # once, at y = 0, when the floor was built
