@@ -91,6 +91,17 @@ class NullCalibration:
     low_reps: bool = False
     fingerprint: str = ""
 
+    def __post_init__(self):
+        # Fresh and cached nulls alike: a NaN would sort above every
+        # observed value and read as p = 1 or as a critical value no
+        # sample exceeds.
+        bad = np.count_nonzero(~np.isfinite(self.sorted_null_values))
+        if bad:
+            raise ScoreOverflow(
+                f"{self.statistic_label}: {bad} of {self.reps} null values "
+                f"at n = {self.n} are not finite"
+            )
+
     def critical_value(self, level: float) -> float:
         """Empirical upper quantile: large statistic values reject."""
         if not 0.0 < level < 1.0:
@@ -212,9 +223,6 @@ def calibrate_null(
         statistic.compute_batch(rng.standard_normal((m, *shape)))
         for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)
     ])
-    bad = np.count_nonzero(~np.isfinite(values))
-    if bad:
-        raise ScoreOverflow(f"{statistic.label}: {bad} of {reps} null values at n = {n} are not finite")
     values.sort()
     return NullCalibration(
         statistic_label=statistic.label,
@@ -534,7 +542,8 @@ def save_calibration(cal: NullCalibration, path) -> Path:
 
 def load_calibration(path, statistic_label: str, fingerprint: str = "") -> NullCalibration:
     """Read a calibration cache, verifying magic, version and the hash of
-    the label and settings fingerprint."""
+    the label and settings fingerprint.  A cache holding a non-finite
+    value raises ScoreOverflow, as calibrate_null does."""
     raw = Path(path).read_bytes()
     head = struct.calcsize(_HEADER)
     if len(raw) < head:

@@ -329,6 +329,15 @@ class TestBadValues:
         with pytest.raises(ScoreOverflow, match="1 of 2000 null values at n = 6"):
             calibrate_null(StatisticSpec("one-nan", 1, one_nan), 6, 2000, seed=3)
 
+    def test_cached_non_finite_null_value_raises(self, tmp_path):
+        cal = calibrate_null(make_statistic("skew"), 9, 2000, seed=31)
+        path = save_calibration(cal, tmp_path / "c.lbical")
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.float64(math.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ScoreOverflow, match="skew: 1 of 2000 null values at n = 9"):
+            load_calibration(path, "skew")
+
     def test_cache_shorter_than_header(self, tmp_path):
         path = tmp_path / "short.lbical"
         path.write_bytes(b"LBICAL1\x01" + bytes(10))

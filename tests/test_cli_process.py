@@ -102,7 +102,10 @@ def test_variance_mean_power_runs_without_scipy():
 
 
 def test_non_finite_null_exits_3_without_a_cache(tmp_path, capsys):
-    # the exact kernel's b-weights overflow at this n, so every null value is NaN
+    # The exact kernel's b-weights overflow at this n, so every null value
+    # is NaN.  Once those weights are scaled to stay finite, this needs
+    # another source of NaN; the guard itself is unit-tested in
+    # test_calibration.TestBadValues.
     code = main([
         "calibrate", "--test", "lbi-exact", "--score", "stable:beta=0", "--n", "10000",
         "--reps", "1000", "--seed", "1", "--calibration-cache", str(tmp_path),
@@ -114,11 +117,32 @@ def test_non_finite_null_exits_3_without_a_cache(tmp_path, capsys):
     assert not list(tmp_path.glob("*.lbical"))
 
 
+def test_cached_non_finite_null_exits_3(tmp_path, capsys):
+    common = ["--test", "skew", "--reps", "1000", "--seed", "1",
+              "--calibration-cache", str(tmp_path)]
+    assert main(["calibrate", *common, "--n", "20"]) == 0
+    (path,) = tmp_path.glob("*.lbical")
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.float64(np.nan).tobytes()
+    path.write_bytes(bytes(raw))
+    capsys.readouterr()
+    data = tmp_path / "x.csv"
+    data.write_text("\n".join(str(v) for v in np.arange(20.0) ** 2) + "\n")
+    runs = [["test", *common, "--input", str(data)],
+            ["power", *common, "--n", "20", "--family", "laplace", "--shapes", "0,0.2",
+             "--power-reps", "500"]]
+    for argv in runs:
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: skew: 1 of 1000 null values at n = 20 are not finite\n"
+
+
 def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
     common = ["--test", "mvn", "--n", "50", "--seed", "1"]
     runs = [["calibrate", *common, "--p", "1", "--calibration-cache", str(tmp_path)],
             ["calibrate", *common, "--p", "0", "--calibration-cache", str(tmp_path)],
-            ["power", *common, "--family", "laplace", "--shapes", "0,0.2",
+            ["power", *common, "--n", "20", "--family", "laplace", "--shapes", "0,0.2",
              "--power-reps", "500"]]
     for argv in runs:
         assert main(argv) == 2

@@ -2,15 +2,16 @@
 
 Usage (from anywhere):
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --pr N
-        [--workloads uni-small-n,uni-large-n,uni-smoothed,mvn]
-        [--pairs 10] [--first-seed 1] [--seconds 20]
+    python3 tools/bench_pairs.py --parent DIR --change DIR --pr N [--first-seed 1]
 
-For every workload, pair i runs ``perfbench/run.py --workload W --seed
-first_seed + i --seconds S --trace 0`` once in each checkout, one after
-the other; the parent runs first in even pairs and the change in odd
-ones, so a drift of the machine's speed weighs on both sides alike.
-Each checkout runs its own ``perfbench/`` on its own ``src/``.
+The workloads and the run length S are the parent's BENCHMARK.json
+``workloads`` and ``run_seconds``.  For every workload, pair i = 0..9
+runs ``perfbench/run.py --workload W --seed first_seed + i --seconds S
+--trace 0`` once in each checkout, one after the other; the parent runs
+first in even pairs and the change in odd ones, so a drift of the
+machine's speed weighs on both sides alike.  Each checkout runs its own
+``perfbench/`` on its own ``src/``.  Ten pairs is the fewest on which a
+gain can be claimed (a win in at least nine).
 
 BENCH_<pr>.json (in the current directory) holds, per workload and
 end-to-end metric: the median of each side, the parent's quartiles, the
@@ -27,6 +28,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -64,24 +66,20 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--workloads", default="uni-small-n,uni-large-n,uni-smoothed,mvn")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2 for quartiles")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    seconds = float(spec["run_seconds"])
 
-    report = {"pr": args.pr, "seconds": args.seconds, "workloads": {}}
-    for workload in args.workloads.split(","):
-        seeds = [args.first_seed + i for i in range(args.pairs)]
+    report = {"pr": args.pr, "seconds": seconds, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
+        seeds = [args.first_seed + i for i in range(PAIRS)]
         runs = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                res = run_once(checkouts[side], workload, seed, args.seconds)
+                res = run_once(checkouts[side], workload, seed, seconds)
                 runs[side].append(res)
                 print(f"{workload} seed {seed} {side}: " + ", ".join(
                     f"{k} {v['value']:.4g}" for k, v in res["metrics"].items()), flush=True)
