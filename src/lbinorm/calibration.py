@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import block_substreams, power_sums
-from .errors import ScoreOverflow, UnsupportedShape
+from .errors import IncompatibleSelection, ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 from .scores import ScoreFunction
 # lbi_exact and lbi_monte_carlo are no longer called here but stay importable
@@ -49,9 +49,10 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 10_000
-# at most this many values per stack that whiten and the mvn statistics see
-# at once, so their temporaries stay small however large the batch is
-MVN_CHUNK = 2**15
+# At most this many values per array that a calibration or power run draws
+# and evaluates at once (one row at the least), so every temporary of the
+# samplers and statistics stays small however large n and reps are.
+CHUNK = 2**15
 _MAGIC = b"LBICAL1"
 _VERSION = 2
 _HEADER = "<7sB16sIIQQ"
@@ -95,11 +96,21 @@ class NullCalibration:
         # Fresh and cached nulls alike: a NaN would sort above every
         # observed value and read as p = 1 or as a critical value no
         # sample exceeds.
-        bad = np.count_nonzero(~np.isfinite(self.sorted_null_values))
+        v = self.sorted_null_values
+        bad = np.count_nonzero(~np.isfinite(v))
         if bad:
             raise ScoreOverflow(
                 f"{self.statistic_label}: {bad} of {self.reps} null values "
                 f"at n = {self.n} are not finite"
+            )
+        # A null spread at rounding level (e.g. kurt at n = 3, identically
+        # 1.5) would rank observed values by their rounding noise.
+        spread = v.max() - v.min()
+        if spread <= 2.0**-40 * np.abs(v).max():
+            raise IncompatibleSelection(
+                f"{self.statistic_label}: the null values at n = {self.n} "
+                f"differ by {spread:.3g} at most, a rounding-level spread; "
+                "the statistic does not vary at this n"
             )
 
     def critical_value(self, level: float) -> float:
@@ -115,9 +126,23 @@ class NullCalibration:
 
 
 def _standardize_batch(x: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=1, keepdims=True)
-    s = np.sqrt(((x - mean) ** 2).mean(axis=1, keepdims=True))
-    return (x - mean) / s
+    d = x - x.mean(axis=1, keepdims=True)
+    d /= np.sqrt((d * d).mean(axis=1, keepdims=True))
+    return d
+
+
+def _row_chunks(rows: int, row_values: int) -> list:
+    """Row counts of the fewest chunks of at most ``CHUNK`` values (one row
+    at the least) that ``rows`` rows of ``row_values`` values split into,
+    as equal as can be.
+
+    Equal chunks keep every chunk of a split block above ~CHUNK/2 values,
+    so none falls to a kernel's direct-sum path for small calls
+    (``univariate.TABLE_POINTS``), whose values differ in the last bits.
+    """
+    per = max(1, CHUNK // max(1, row_values))
+    k = -(-rows // per)
+    return [rows // k + (i < rows % k) for i in range(k)]
 
 
 def closed_form_weights(coeffs: np.ndarray, n: int) -> dict:
@@ -165,10 +190,11 @@ def make_statistic(
             if x.ndim != 3 or x.shape[2] < 1:
                 raise ValueError("expected an n x p matrix")
             reps, n, p = x.shape
-            rows = max(1, MVN_CHUNK // max(1, n * p))
             out = np.empty(reps)
-            for lo in range(0, reps, rows):
+            lo = 0
+            for rows in _row_chunks(reps, n * p):
                 out[lo:lo + rows] = _fn(whiten(x[lo:lo + rows]))
+                lo += rows
             return out
 
         return StatisticSpec(f"mvn-{group}", -1, compute_mvn)
@@ -208,8 +234,11 @@ def calibrate_null(
     """Empirical null distribution from standard-normal replications.
 
     Deterministic for fixed (seed, statistic, n, p, reps); reps below
-    1e4 are accepted but flagged.  A non-finite null value raises
-    ScoreOverflow: the statistic failed to evaluate at this n.
+    1e4 are accepted but flagged.  Each substream block is drawn and
+    evaluated chunk by chunk (``_row_chunks``); a generator fills an array
+    element by element, so the values are those of whole-block draws.  A non-finite
+    null value raises ScoreOverflow: the statistic failed to evaluate at
+    this n.  A null spread at rounding level raises IncompatibleSelection.
     """
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
@@ -220,8 +249,9 @@ def calibrate_null(
         p = statistic.p
     shape = (n,) if p == 1 else (n, p)
     values = np.concatenate([
-        statistic.compute_batch(rng.standard_normal((m, *shape)))
+        statistic.compute_batch(rng.standard_normal((rows, *shape)))
         for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)
+        for rows in _row_chunks(m, n * p)
     ])
     values.sort()
     return NullCalibration(
@@ -474,8 +504,8 @@ def power_curve(
     """Empirical rejection frequency over a grid of shape parameters.
 
     Returns one dict per grid point: shape, power and its binomial
-    standard error.  Draws use the same block-substream contract as
-    ``calibrate_null``.
+    standard error.  Draws use the same block-substream contract and the
+    same chunks as ``calibrate_null``.
     """
     if (calibration.n, calibration.statistic_label, calibration.fingerprint) != (
         n, statistic.label, statistic.fingerprint
@@ -486,8 +516,9 @@ def power_curve(
     for gi, shape in enumerate(shapes):
         spec = AlternativeSpec(family=family, shape=shape, beta=beta, lam=lam)
         rejected = sum(
-            int(np.sum(statistic.compute_batch(sample_alternative(spec, n, rng, size=(m, n))) > crit))
+            int(np.sum(statistic.compute_batch(sample_alternative(spec, n, rng, size=(rows, n))) > crit))
             for rng, m in block_substreams((seed, gi), reps, BLOCK_SIZE)
+            for rows in _row_chunks(m, n)
         )
         pw = rejected / reps
         out.append(

@@ -17,6 +17,7 @@ toward t = 0 (integrable log singularity of the derivative) and
 per-period splitting of the oscillatory factor for large |x|.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,11 +134,25 @@ def _panel_edges(max_abs_x: float, cfg: InversionConfig, nodes: int) -> np.ndarr
     return np.unique(np.asarray(edges))
 
 
+@functools.cache
+def _gauss_legendre16():
+    """The 16-point Gauss-Legendre rule on [-1, 1] that every panel maps;
+    built on first use, as its eigenvalue solve costs a process ~1 MiB."""
+    rule = leggauss(16)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+# Score evaluations size panels for ceil(|x|), and standardized residuals
+# have |x| <= sqrt(n - 1), so up to n = 1e4 a process needs ~120 rules.
+@functools.lru_cache(maxsize=128)
 def _panel_rule(max_abs_x: float, cfg: InversionConfig, nodes: int):
     """Frequency nodes and the cosine and sine weights of the panels sized
-    for ``max_abs_x``."""
+    for ``max_abs_x``.  Cached per (max_abs_x, cfg, nodes); the returned
+    arrays are read-only."""
     edges = _panel_edges(max_abs_x, cfg, nodes)
-    u, w = leggauss(16)
+    u, w = _gauss_legendre16()
     # all panel nodes as one flat array
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -146,7 +161,10 @@ def _panel_rule(max_abs_x: float, cfg: InversionConfig, nodes: int):
     with np.errstate(divide="ignore"):
         logt = np.where(tt > 0.0, np.log(tt), 0.0)
     damp = np.exp(-(tt * tt))
-    return tt, ww * (tt * tt * logt * damp), ww * ((tt - tt * tt) * damp)
+    rule = (tt, ww * (tt * tt * logt * damp), ww * ((tt - tt * tt) * damp))
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: int) -> np.ndarray:

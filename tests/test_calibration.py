@@ -9,9 +9,11 @@ import pytest
 
 from lbinorm.calibration import (
     BLOCK_SIZE,
+    CHUNK,
     AlternativeSpec,
     NullCalibration,
     StatisticSpec,
+    _row_chunks,
     _sample_gig,
     cache_path,
     calibrate_null,
@@ -24,7 +26,7 @@ from lbinorm.calibration import (
     save_calibration,
 )
 from lbinorm.core import block_substreams, standardize, standardized_moment
-from lbinorm.errors import ScoreOverflow, SingularCovariance, UnsupportedShape
+from lbinorm.errors import IncompatibleSelection, ScoreOverflow, SingularCovariance, UnsupportedShape
 from lbinorm.multivariate import stat_gl, stat_lt, whiten
 from lbinorm.scores import score_gh_limit, score_hermite
 from lbinorm.univariate import (
@@ -338,6 +340,16 @@ class TestBadValues:
         with pytest.raises(ScoreOverflow, match="skew: 1 of 2000 null values at n = 9"):
             load_calibration(path, "skew")
 
+    def test_rounding_level_null_spread_raises(self, tmp_path):
+        with pytest.raises(IncompatibleSelection, match="kurt: the null values at n = 3 differ by"):
+            calibrate_null(make_statistic("kurt"), 3, 2000, seed=3)
+        cal = calibrate_null(make_statistic("skew"), 9, 2000, seed=31)
+        path = tmp_path / "c.lbical"
+        raw = save_calibration(cal, path).read_bytes()
+        path.write_bytes(raw[:-8 * 2000] + np.full(2000, 1.5).tobytes())
+        with pytest.raises(IncompatibleSelection, match="skew: the null values at n = 9"):
+            load_calibration(path, "skew")
+
     def test_cache_shorter_than_header(self, tmp_path):
         path = tmp_path / "short.lbical"
         path.write_bytes(b"LBICAL1\x01" + bytes(10))
@@ -413,3 +425,71 @@ class TestMvnBatch:
         b2 = calibrate_null(make_statistic("mvn", group="gl"), n, reps, 23, p).sorted_null_values / n
         expected = p * (p + 2) * (n - 1) / (n + 1)
         assert abs(b2.mean() - expected) <= 5.0 * b2.std(ddof=1) / math.sqrt(reps)
+
+
+class TestChunkedDraws:
+    """Every substream block is drawn and evaluated in chunks of at most
+    CHUNK values; the values are those of whole-block draws."""
+
+    @pytest.mark.parametrize("rows, row_values", [
+        (10_000, 20), (5_000, 20), (10_000, 2000), (1000, 10_000), (7, 40_000), (1, 3), (0, 5)])
+    def test_row_chunks_are_the_fewest_equal_ones(self, rows, row_values):
+        chunks = _row_chunks(rows, row_values)
+        per = max(1, CHUNK // row_values)
+        assert sum(chunks) == rows
+        assert len(chunks) == -(-rows // per)
+        assert all(c <= per for c in chunks)
+        assert max(chunks, default=0) - min(chunks, default=0) <= 1
+
+    @pytest.mark.parametrize("name", ["lbi-exact", "lbi-approx", "profile", "mvn"])
+    def test_null_equals_whole_block_draws(self, name, stable_score0):
+        # at n = 20 every 10 000-row block splits into chunks of ~1640 rows
+        n, reps, seed = 20, 25_000, 41
+        p = 5 if name == "mvn" else 1
+        spec = (make_statistic("mvn", group="lt") if name == "mvn"
+                else make_statistic(name, score=stable_score0))
+        shape = (n, p) if name == "mvn" else (n,)
+        expected = np.sort(np.concatenate([
+            spec.compute_batch(rng.standard_normal((m, *shape)))
+            for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)
+        ]))
+        cal = calibrate_null(spec, n, reps, seed, p)
+        assert np.array_equal(cal.sorted_null_values, expected)
+
+    def test_gamma_power_equals_whole_block_draws(self):
+        spec = make_statistic("kurt")
+        n, reps, seed = 20, 15_000, 43
+        cal = calibrate_null(spec, n, 10_000, seed=42)
+        crit = cal.critical_value(0.05)
+        shapes = [0.0, 0.4]
+        rows = power_curve(spec, "gamma-centered", shapes, n, 0.05, reps, seed, cal)
+        for gi, shape in enumerate(shapes):
+            alt = AlternativeSpec("gamma-centered", shape)
+            rejected = sum(
+                int(np.sum(spec.compute_batch(sample_alternative(alt, n, rng, size=(m, n))) > crit))
+                for rng, m in block_substreams((seed, gi), reps, BLOCK_SIZE)
+            )
+            assert rows[gi]["power"] == rejected / reps
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_calibration_memory_stays_bounded(self):
+        with pytest.warns(UserWarning):
+            peak = self._peak(lambda: calibrate_null(make_statistic("kurt"), 2000, 2000, seed=44))
+        # whole-block draws hold 32 MB arrays at this size
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("family", ["stable", "laplace", "gh-variance-mean"])
+    def test_power_memory_stays_bounded(self, family):
+        spec = make_statistic("kurt")
+        with pytest.warns(UserWarning):
+            cal = calibrate_null(spec, 2000, 1000, seed=45)
+        peak = self._peak(lambda: power_curve(spec, family, [0.5], 2000, 0.05, 1000, 46, cal))
+        assert peak <= 8 * 2**20

@@ -150,3 +150,21 @@ def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == "error: expected an n x p matrix\n"
     assert not list(tmp_path.glob("*.lbical"))
+
+
+def test_rounding_level_null_exits_2(tmp_path, capsys):
+    # At n = 3 the kurtosis of the standardized sample is identically 1.5,
+    # and the closed H4 form is affine in it: their nulls are rounding noise.
+    data = tmp_path / "x.csv"
+    data.write_text("0.1\n0.2\n5.0\n")
+    assert main(["test", "--test", "kurt", "--input", str(data), "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: kurt: the null values at n = 3 differ by")
+    assert captured.err.count("\n") == 1
+    assert main(["calibrate", "--test", "lbi-closed", "--score", "hermite:4", "--n", "3",
+                 "--seed", "1", "--calibration-cache", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lbi-closed(hermite:4): the null values at n = 3")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.lbical"))

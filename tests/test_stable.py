@@ -237,6 +237,16 @@ class TestMirroredInversion:
         assert calls == [(2401, cfg.nodes), (2401, 2 * cfg.nodes)]
 
 
+class TestPanelRule:
+    def test_built_once_and_read_only(self):
+        cfg = InversionConfig()
+        rule = stable._panel_rule(7.0, cfg, cfg.nodes)
+        assert stable._panel_rule(7.0, cfg, cfg.nodes) is rule
+        for arr in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
 class TestNotAKnotSpline:
     def test_grid_needs_four_points(self):
         InversionConfig(grid_step=8.0, grid_halfwidth=12.0)

@@ -15,9 +15,14 @@ gain can be claimed (a win in at least nine).
 
 BENCH_<pr>.json (in the current directory) holds, per workload and
 end-to-end metric: the median of each side, the parent's quartiles, the
-per-pair values and the number of pairs the change wins (ties count for
-neither side), with the metric's direction taken from the parent's
-BENCHMARK.json.  Every run's correctness and failed share are kept too.
+per-pair values, the number of pairs the change wins (ties count for
+neither side) and a verdict, with the metric's direction and bound taken
+from the parent's BENCHMARK.json.  The verdict is ``gain`` when the
+change wins at least nine pairs in ten and its median is better than the
+parent's by more than the parent's interquartile range, ``worse`` when
+its median is worse than the parent's by more than the bound (a fraction
+of the parent's median), and ``flat`` otherwise.  Every run's
+correctness and failed share are kept too.
 """
 
 import argparse
@@ -41,22 +46,40 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summarize(runs: dict, better: dict) -> dict:
-    """Medians, the parent's quartiles, the pairs and the change's wins per metric."""
+def verdict(parent_median: float, change_median: float, iqr: float, wins: int,
+            lower: bool, bound: float) -> str:
+    """``gain``, ``worse`` or ``flat``; see the module docstring."""
+    improvement = (parent_median - change_median) * (1 if lower else -1)
+    if 10 * wins >= 9 * PAIRS and improvement > iqr:
+        return "gain"
+    if -improvement > bound * abs(parent_median):
+        return "worse"
+    return "flat"
+
+
+def summarize(runs: dict, metrics: dict) -> dict:
+    """Medians, the parent's quartiles, the pairs, the change's wins and the
+    verdict per metric; ``metrics`` maps a name to its BENCHMARK.json entry."""
     out = {}
-    for metric, lower in better.items():
+    for metric, spec in metrics.items():
+        lower = spec["better"] == "lower"
         pairs = [[p["metrics"][metric]["value"], c["metrics"][metric]["value"]]
                  for p, c in zip(runs["parent"], runs["change"])]
         parent = [p for p, _ in pairs]
         q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        parent_median = statistics.median(parent)
+        change_median = statistics.median(c for _, c in pairs)
+        wins = sum((c < p) if lower else (c > p) for p, c in pairs)
         out[metric] = {
             "unit": runs["parent"][0]["metrics"][metric]["unit"],
-            "better": "lower" if lower else "higher",
-            "parent_median": statistics.median(parent),
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "parent_median": parent_median,
             "parent_quartiles": [q1, q3],
-            "change_median": statistics.median(c for _, c in pairs),
+            "change_median": change_median,
             "pairs": pairs,
-            "change_wins": sum((c < p) if lower else (c > p) for p, c in pairs),
+            "change_wins": wins,
+            "verdict": verdict(parent_median, change_median, q3 - q1, wins, lower, spec["bound"]),
         }
     return out
 
@@ -70,7 +93,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
 
     report = {"pr": args.pr, "seconds": seconds, "workloads": {}}
@@ -87,8 +110,11 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
                             for r in runs[side]] for side in SIDES},
-            "metrics": summarize(runs, better),
+            "metrics": summarize(runs, metrics),
         }
+        for metric, m in report["workloads"][workload]["metrics"].items():
+            print(f"{workload} {metric}: {m['parent_median']:.4g} -> {m['change_median']:.4g}, "
+                  f"{m['change_wins']}/{PAIRS} wins, {m['verdict']}", flush=True)
     path = Path(f"BENCH_{args.pr}.json")
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
