@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import block_substreams, power_sums
+from .core import BLOCK_SIZE, block_substreams, power_sums, standardize
 from .errors import IncompatibleSelection, ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 from .scores import ScoreFunction
@@ -48,7 +48,6 @@ __all__ = [
     "cache_path",
 ]
 
-BLOCK_SIZE = 10_000
 # At most this many values per array that a calibration or power run draws
 # and evaluates at once (one row at the least), so every temporary of the
 # samplers and statistics stays small however large n and reps are.
@@ -125,12 +124,6 @@ class NullCalibration:
         return {lvl: self.critical_value(lvl) for lvl in levels}
 
 
-def _standardize_batch(x: np.ndarray) -> np.ndarray:
-    d = x - x.mean(axis=1, keepdims=True)
-    d /= np.sqrt((d * d).mean(axis=1, keepdims=True))
-    return d
-
-
 def _row_chunks(rows: int, row_values: int) -> list:
     """Row counts of the fewest chunks of at most ``CHUNK`` values (one row
     at the least) that ``rows`` rows of ``row_values`` values split into,
@@ -151,13 +144,23 @@ def closed_form_weights(coeffs: np.ndarray, n: int) -> dict:
     return {order: n * k for order, k in enumerate(kappa) if k != 0.0}
 
 
-def _kernel_batch(build: Callable) -> Callable:
-    """compute_batch of a kernel statistic, one ``build(n)`` kernel per n."""
-    kernel_for = functools.cache(build)
+def _of_residuals(residual_fn: Callable, multivariate: bool = False) -> Callable:
+    """compute_batch of a statistic of the residuals, the only evaluation path:
+    every test is invariant under location and scale (or the GL/LT group), so
+    each ``_row_chunks`` chunk of a raw batch is standardized (univariate) or
+    whitened (mvn) and ``residual_fn`` maps it to one value per sample."""
 
     def compute(x):
-        z = _standardize_batch(x)
-        return kernel_for(z.shape[1])(z)
+        x = np.asarray(x, dtype=float)
+        if multivariate and (x.ndim != 3 or x.shape[2] < 1):
+            raise ValueError("expected an n x p matrix")
+        out = np.empty(x.shape[0])
+        lo = 0
+        for rows in _row_chunks(x.shape[0], math.prod(x.shape[1:])):
+            chunk = x[lo:lo + rows]
+            out[lo:lo + rows] = residual_fn(whiten(chunk) if multivariate else standardize(chunk))
+            lo += rows
+        return out
 
     return compute
 
@@ -179,25 +182,12 @@ def make_statistic(
     """
     if name in ("skew", "kurt"):
         k = 3 if name == "skew" else 4
-        return StatisticSpec(name, 1, lambda x: power_sums(_standardize_batch(x), k)[:, k] / x.shape[1])
+        return StatisticSpec(name, 1, _of_residuals(lambda z: power_sums(z, k)[:, k] / z.shape[1]))
     if name == "mvn":
         if group not in ("gl", "lt"):
             raise ValueError("group must be 'gl' or 'lt'")
-        fn = stat_gl if group == "gl" else stat_lt
-
-        def compute_mvn(x, _fn=fn):
-            x = np.asarray(x, dtype=float)
-            if x.ndim != 3 or x.shape[2] < 1:
-                raise ValueError("expected an n x p matrix")
-            reps, n, p = x.shape
-            out = np.empty(reps)
-            lo = 0
-            for rows in _row_chunks(reps, n * p):
-                out[lo:lo + rows] = _fn(whiten(x[lo:lo + rows]))
-                lo += rows
-            return out
-
-        return StatisticSpec(f"mvn-{group}", -1, compute_mvn)
+        return StatisticSpec(f"mvn-{group}", -1,
+                             _of_residuals(stat_gl if group == "gl" else stat_lt, multivariate=True))
     if score is None:
         raise ValueError(f"statistic '{name}' needs a score")
     label = f"{name}({score.family_label})"
@@ -208,13 +198,10 @@ def make_statistic(
     }.get(name, "")
     fingerprint = ";".join(filter(None, [score.fingerprint, settings]))
     if name == "lbi-approx":
-
-        def compute_approx(x, _s=score):
-            return np.asarray(_s(_standardize_batch(x))).sum(axis=1)
-
-        return StatisticSpec(label, 1, compute_approx, fingerprint)
+        return StatisticSpec(label, 1, _of_residuals(lambda z: np.asarray(score(z)).sum(axis=1)),
+                             fingerprint)
     if name == "profile":
-        return StatisticSpec(label, 1, lambda x: profile_likelihood_statistic(_standardize_batch(x), score),
+        return StatisticSpec(label, 1, _of_residuals(lambda z: profile_likelihood_statistic(z, score)),
                              fingerprint)
     kernels = {
         "lbi-closed": lambda n: closed_form_kernel(score.polynomial_coeffs, n),
@@ -225,7 +212,8 @@ def make_statistic(
         raise ValueError(f"unknown statistic '{name}'")
     if name == "lbi-closed" and score.polynomial_coeffs is None:
         raise ValueError("lbi-closed needs a polynomial score")
-    return StatisticSpec(label, 1, _kernel_batch(kernels[name]), fingerprint)
+    kernel_for = functools.cache(kernels[name])
+    return StatisticSpec(label, 1, _of_residuals(lambda z: kernel_for(z.shape[1])(z)), fingerprint)
 
 
 def calibrate_null(
@@ -505,7 +493,8 @@ def power_curve(
 
     Returns one dict per grid point: shape, power and its binomial
     standard error.  Draws use the same block-substream contract and the
-    same chunks as ``calibrate_null``.
+    same chunks as ``calibrate_null``.  A non-finite statistic value raises
+    ScoreOverflow: it failed to evaluate, and would count as an acceptance.
     """
     if (calibration.n, calibration.statistic_label, calibration.fingerprint) != (
         n, statistic.label, statistic.fingerprint
@@ -515,11 +504,15 @@ def power_curve(
     out = []
     for gi, shape in enumerate(shapes):
         spec = AlternativeSpec(family=family, shape=shape, beta=beta, lam=lam)
-        rejected = sum(
-            int(np.sum(statistic.compute_batch(sample_alternative(spec, n, rng, size=(rows, n))) > crit))
-            for rng, m in block_substreams((seed, gi), reps, BLOCK_SIZE)
-            for rows in _row_chunks(m, n)
-        )
+        rejected = bad = 0
+        for rng, m in block_substreams((seed, gi), reps, BLOCK_SIZE):
+            for rows in _row_chunks(m, n):
+                values = statistic.compute_batch(sample_alternative(spec, n, rng, size=(rows, n)))
+                rejected += np.count_nonzero(values > crit)
+                bad += np.count_nonzero(~np.isfinite(values))
+        if bad:
+            raise ScoreOverflow(f"{statistic.label}: {bad} of {reps} statistic values at "
+                                f"shape {shape}, n = {n} are not finite")
         pw = rejected / reps
         out.append(
             {

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import calibration as cal_mod
-from .core import standardize
 from .errors import (
     DegenerateSample,
     IncompatibleSelection,
@@ -164,15 +163,19 @@ def _build_statistic(args, n: int):
 
 
 def _get_calibration(stat, n, p, reps, seed, cache_dir):
-    if cache_dir:
-        path = cal_mod.cache_path(cache_dir, stat.label, n, max(p, 1), reps, seed, stat.fingerprint)
-        if path.exists():
-            return cal_mod.load_calibration(path, stat.label, stat.fingerprint), path
-    cal = cal_mod.calibrate_null(stat, n, reps, seed, p=max(p, 1))
-    path = None
-    if cache_dir:
-        path = cal_mod.cache_path(cache_dir, stat.label, n, max(cal.p, 1), reps, seed, cal.fingerprint)
-        cal_mod.save_calibration(cal, path)
+    """The null for (n, p, reps, seed), read from a cache whose header matches."""
+    if not cache_dir:
+        return cal_mod.calibrate_null(stat, n, reps, seed, p=p), None
+    path = cal_mod.cache_path(cache_dir, stat.label, n, p, reps, seed, stat.fingerprint)
+    if path.exists():
+        cal = cal_mod.load_calibration(path, stat.label, stat.fingerprint)
+        header = (cal.n, cal.p, cal.reps, cal.seed)
+        if header != (n, p, reps, seed):
+            raise ValueError(f"{path}: cache header has (n, p, reps, seed) = {header}, "
+                             f"not the requested {(n, p, reps, seed)}")
+        return cal, path
+    cal = cal_mod.calibrate_null(stat, n, reps, seed, p=p)
+    cal_mod.save_calibration(cal, path)
     return cal, path
 
 
@@ -186,8 +189,6 @@ def run_test(args) -> dict:
         )
     if not multivariate and args.test == "mvn":
         raise IncompatibleSelection("--test mvn requires multi-column input")
-    if not multivariate:
-        standardize(data)  # n >= 3 and a non-constant sample, or an input error
     n = data.shape[0]
     p = data.shape[1] if multivariate else 1
     stat, score = _build_statistic(args, n)
@@ -228,8 +229,7 @@ def run_calibrate(args) -> Path:
     p = args.p if args.test == "mvn" else 1
     cal = cal_mod.calibrate_null(stat, args.n, args.reps, seed, p=p)
     path = cal_mod.cache_path(
-        args.calibration_cache, stat.label, args.n, max(cal.p, 1), args.reps, seed,
-        cal.fingerprint,
+        args.calibration_cache, stat.label, args.n, cal.p, args.reps, seed, cal.fingerprint,
     )
     cal_mod.save_calibration(cal, path)
     sys.stdout.write(str(path) + "\n")

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DegenerateSample, ScoreOverflow
 
 __all__ = [
+    "BLOCK_SIZE",
     "standardize",
     "standardized_moment",
     "power_sums",
@@ -29,30 +30,30 @@ __all__ = [
 def standardize(values) -> np.ndarray:
     """Map a sample to its standardized residuals z_i = (x_i - mean)/s.
 
-    The scale s uses the divisor n (not n-1) so that sum(z) = 0 and
-    sum(z**2) = n hold exactly.  The result is invariant under affine
-    maps x -> a + b*x with b > 0.
+    Works over the last axis: one sample of n values, or a stack (..., n)
+    of them, each standardized on its own.  The scale s uses the divisor n
+    (not n-1) so that sum(z) = 0 and sum(z**2) = n hold exactly.  The
+    result is invariant under affine maps x -> a + b*x with b > 0.
 
     Raises
     ------
     DegenerateSample
-        If all observations are equal (zero variance).
+        If all observations of a sample are equal (zero variance).
     ValueError
         If n < 3 or any value is non-finite.
     """
     x = np.asarray(values, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D sample")
-    n = x.size
+    n = x.shape[-1] if x.ndim else 0
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("sample contains non-finite values")
-    xbar = x.mean()
-    s2 = np.mean((x - xbar) ** 2)
-    if s2 <= 0.0:
+    d = x - x.mean(axis=-1, keepdims=True)
+    s2 = (d * d).mean(axis=-1, keepdims=True)
+    if not (s2 > 0.0).all():
         raise DegenerateSample("zero sample variance: all values equal")
-    return (x - xbar) / math.sqrt(s2)
+    d /= np.sqrt(s2)
+    return d
 
 
 def standardized_moment(z, l: int) -> float:
@@ -83,6 +84,10 @@ def power_sums(z, degree: int) -> np.ndarray:
         if s < degree:
             zs = zs * z
     return out
+
+
+# Replications per substream block of every Monte-Carlo draw.
+BLOCK_SIZE = 10_000
 
 
 def block_substreams(key, reps: int, block_size: int):

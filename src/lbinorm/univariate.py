@@ -18,7 +18,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import (block_substreams, not_a_knot_coefficients, power_sums,
+from .core import (BLOCK_SIZE, block_substreams, not_a_knot_coefficients, power_sums,
                    standardized_moment, uniform_cubic)
 from .errors import QuadratureUnconverged, ScoreOverflow
 from .scores import ScoreFunction
@@ -48,6 +48,8 @@ TABLE_HALFWIDTH = 3.0
 TABLE_MARGIN = 4
 # Values per score call of the direct node sum: bounds its temporaries.
 NODE_BLOCK = 2**16
+# Step of the central difference of a score without its own derivative.
+FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -235,15 +237,14 @@ def exact_kernel(score: ScoreFunction, n: int, cfg: QuadratureConfig | None = No
                         np.outer(wa, wb).ravel(), n)
 
 
-def mc_kernel(score: ScoreFunction, n: int, reps: int, seed: int,
-              block_size: int = 10_000) -> LbiKernel:
+def mc_kernel(score: ScoreFunction, n: int, reps: int, seed: int) -> LbiKernel:
     """Kernel on ``reps`` draws of A ~ N(0, 1/n), B ~ chi_(n-1)/sqrt(n), each
     weighted 1/reps, from substreams keyed by (seed, block index)."""
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
     draws = [(rng.normal(0.0, 1.0 / math.sqrt(n), size=m),
               np.sqrt(rng.chisquare(n - 1, size=m)) / math.sqrt(n))
-             for rng, m in block_substreams((seed,), reps, block_size)]
+             for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)]
     a, b = (np.concatenate(v) for v in zip(*draws))
     return _node_kernel(score, a, b, np.full(reps, 1.0 / reps), n)
 
@@ -325,13 +326,12 @@ def lbi_laplace(z, score: ScoreFunction) -> LbiStatistic:
                         score_label=score.family_label, n=z.size)
 
 
-def lbi_monte_carlo(z, score: ScoreFunction, reps: int, seed: int,
-                    block_size: int = 10_000) -> LbiStatistic:
+def lbi_monte_carlo(z, score: ScoreFunction, reps: int, seed: int) -> LbiStatistic:
     """Monte-Carlo LBI: the average of sum_i score(A + B z_i) over the
     fixed draws of ``mc_kernel``, with its standard error."""
     z = np.asarray(z, dtype=float)
     n = z.size
-    sums = mc_kernel(score, n, reps, seed, block_size).node_sums(z)
+    sums = mc_kernel(score, n, reps, seed).node_sums(z)
     mean = sums.mean()
     var = max((sums * sums).mean() - mean * mean, 0.0)
     return LbiStatistic(value=float(mean), method="monte-carlo",
@@ -339,18 +339,18 @@ def lbi_monte_carlo(z, score: ScoreFunction, reps: int, seed: int,
                         std_error=float(math.sqrt(var / reps)))
 
 
-def profile_likelihood_statistic(z, h: ScoreFunction, fd_step: float = 1e-6):
+def profile_likelihood_statistic(z, h: ScoreFunction):
     """Profile-likelihood statistic sum_i z_i * h'(z_i) over the last axis:
     a float for one sample, an array for a (m, n) batch.
 
     The derivative is the score's own where it has one (polynomial and
-    stable scores) and by central differences otherwise.
+    stable scores) and by central differences of step ``FD_STEP`` otherwise.
     """
     z = np.asarray(z, dtype=float)
     if h.derivative is not None:
         dv = np.asarray(h.derivative(z))
     else:
-        dv = (np.asarray(h(z + fd_step)) - np.asarray(h(z - fd_step))) / (2.0 * fd_step)
+        dv = (np.asarray(h(z + FD_STEP)) - np.asarray(h(z - FD_STEP))) / (2.0 * FD_STEP)
     return np.sum(z * dv, axis=-1)
 
 

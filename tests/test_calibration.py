@@ -26,7 +26,8 @@ from lbinorm.calibration import (
     save_calibration,
 )
 from lbinorm.core import block_substreams, standardize, standardized_moment
-from lbinorm.errors import IncompatibleSelection, ScoreOverflow, SingularCovariance, UnsupportedShape
+from lbinorm.errors import (DegenerateSample, IncompatibleSelection, ScoreOverflow,
+                            SingularCovariance, UnsupportedShape)
 from lbinorm.multivariate import stat_gl, stat_lt, whiten
 from lbinorm.scores import score_gh_limit, score_hermite
 from lbinorm.univariate import (
@@ -83,6 +84,14 @@ class TestMakeStatistic:
     def test_score_required(self):
         with pytest.raises(ValueError):
             make_statistic("lbi-approx")
+
+    @pytest.mark.parametrize("name", ["skew", "kurt", "lbi-closed", "lbi-approx", "profile"])
+    def test_constant_sample_in_batch_raises(self, name):
+        x = np.random.default_rng(6).normal(size=(4, 12))
+        x[2] = 1.5
+        score = None if name in ("skew", "kurt") else score_gh_limit(0.5)
+        with pytest.raises(DegenerateSample):
+            make_statistic(name, score=score).compute_batch(x)
 
 
 class TestClosedFormWeights:
@@ -330,6 +339,17 @@ class TestBadValues:
 
         with pytest.raises(ScoreOverflow, match="1 of 2000 null values at n = 6"):
             calibrate_null(StatisticSpec("one-nan", 1, one_nan), 6, 2000, seed=3)
+
+    def test_non_finite_power_value_raises(self):
+        def one_nan(x):
+            v = x.sum(axis=1)
+            v[17] = math.nan
+            return v
+
+        cal = calibrate_null(StatisticSpec("one-nan", 1, lambda x: x.sum(axis=1)), 6, 2000, seed=3)
+        with pytest.raises(ScoreOverflow,
+                           match="one-nan: 1 of 2000 statistic values at shape 0.5, n = 6 are not finite"):
+            power_curve(StatisticSpec("one-nan", 1, one_nan), "laplace", [0.5], 6, 0.05, 2000, 4, cal)
 
     def test_cached_non_finite_null_value_raises(self, tmp_path):
         cal = calibrate_null(make_statistic("skew"), 9, 2000, seed=31)

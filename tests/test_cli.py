@@ -273,6 +273,20 @@ class TestBadInput:
         code, err = self._run(path, capsys)
         assert code == 2 and "zero sample variance" in err
 
+    def test_cache_of_another_n_is_refused(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["calibrate", "--test", "kurt", "--n", "20", "--reps", "1000", "--seed", "1",
+                     "--calibration-cache", str(cache)]) == 0
+        (built,) = cache.glob("*.lbical")
+        built.rename(cache / built.name.replace("_n20_", "_n30_"))
+        capsys.readouterr()
+        path = tmp_path / "x30.csv"
+        _write_csv(path, np.random.default_rng(102).normal(size=(30, 1)))
+        code, err = self._run(path, capsys, "--calibration-cache", str(cache))
+        assert code == 2
+        assert "cache header has (n, p, reps, seed) = (20, 1, 1000, 1)" in err
+        assert "not the requested (30, 1, 1000, 1)" in err
+
     def test_cache_shorter_than_header(self, uni_csv, tmp_path, capsys):
         cache = tmp_path / "cache"
         cache.mkdir()

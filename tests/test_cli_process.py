@@ -168,3 +168,17 @@ def test_rounding_level_null_exits_2(tmp_path, capsys):
     assert err.startswith("error: lbi-closed(hermite:4): the null values at n = 3")
     assert err.count("\n") == 1
     assert not list(tmp_path.glob("*.lbical"))
+
+
+def test_non_finite_power_value_exits_3(capsys):
+    # The score overflows far out in the tails, so profile's central
+    # difference reads inf - inf on many stable samples at this n.
+    code = main(["power", "--test", "profile", "--score", "contam:laplace-unit", "--n", "2000",
+                 "--family", "stable", "--shapes", "0.8", "--reps", "1000",
+                 "--power-reps", "100", "--seed", "5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: profile(contam:laplace-unit): ")
+    assert captured.err.endswith(" of 100 statistic values at shape 0.8, n = 2000 are not finite\n")
+    assert captured.err.count("\n") == 1

@@ -52,6 +52,19 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize([1.0, 2.0, np.nan])
 
+    def test_stack_equals_row_by_row(self):
+        x = np.random.default_rng(12).normal(size=(3, 7))
+        assert np.array_equal(standardize(x), np.stack([standardize(row) for row in x]))
+
+    @pytest.mark.parametrize("cells, value, error, message", [
+        ((1, slice(None)), 5.0, DegenerateSample, "zero sample variance"),
+        ((1, 4), np.nan, ValueError, "non-finite")])
+    def test_stack_with_one_bad_sample_raises(self, cells, value, error, message):
+        x = np.random.default_rng(13).normal(size=(3, 7))
+        x[cells] = value
+        with pytest.raises(error, match=message):
+            standardize(x)
+
 
 class TestStandardizedMoment:
     def test_centering_and_scaling(self):
