@@ -88,7 +88,6 @@ class NullCalibration:
     reps: int
     seed: int
     sorted_null_values: np.ndarray
-    low_reps: bool = False
     fingerprint: str = ""
 
     def __post_init__(self):
@@ -112,6 +111,11 @@ class NullCalibration:
                 "the statistic does not vary at this n"
             )
 
+    @property
+    def low_reps(self) -> bool:
+        """Fewer than 1e4 replications: the critical values are coarse."""
+        return self.reps < 10_000
+
     def critical_value(self, level: float) -> float:
         """Empirical upper quantile: large statistic values reject."""
         if not 0.0 < level < 1.0:
@@ -119,9 +123,6 @@ class NullCalibration:
         return float(
             np.quantile(self.sorted_null_values, 1.0 - level, method="higher")
         )
-
-    def critical_values(self, levels: Sequence[float] = (0.01, 0.05, 0.10)) -> dict:
-        return {lvl: self.critical_value(lvl) for lvl in levels}
 
 
 def _row_chunks(rows: int, row_values: int) -> list:
@@ -169,7 +170,6 @@ def make_statistic(
     name: str,
     score: Optional[ScoreFunction] = None,
     group: str = "lt",
-    n: Optional[int] = None,
     quad_cfg: Optional[QuadratureConfig] = None,
     mc_reps: int = 100_000,
     mc_seed: int = 0,
@@ -230,9 +230,6 @@ def calibrate_null(
     """
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
-    low = reps < 10_000
-    if low:
-        warnings.warn("fewer than 1e4 replications; critical values are coarse")
     if statistic.p > 0:
         p = statistic.p
     shape = (n,) if p == 1 else (n, p)
@@ -242,16 +239,18 @@ def calibrate_null(
         for rows in _row_chunks(m, n * p)
     ])
     values.sort()
-    return NullCalibration(
+    cal = NullCalibration(
         statistic_label=statistic.label,
         n=n,
         p=p,
         reps=reps,
         seed=seed,
         sorted_null_values=values,
-        low_reps=low,
         fingerprint=statistic.fingerprint,
     )
+    if cal.low_reps:
+        warnings.warn("fewer than 1e4 replications; critical values are coarse")
+    return cal
 
 
 def p_value(cal: NullCalibration, observed: float) -> float:
@@ -280,7 +279,6 @@ class AlternativeSpec:
     shape: float
     beta: float = 0.0
     lam: float = 1.0
-    sampler_seed: int = 0
 
     FAMILIES = ("student-t", "gamma-centered", "laplace", "stable", "gh-variance-mean")
 
@@ -426,7 +424,7 @@ def _sample_gig(p: float, b: float, size, rng) -> np.ndarray:
     return 1 / x if invert else x
 
 
-def sample_alternative(spec: AlternativeSpec, n: int, rng=None, size=None) -> np.ndarray:
+def sample_alternative(spec: AlternativeSpec, n: int, rng, size=None) -> np.ndarray:
     """Draw i.i.d. observations from the named alternative family.
 
     Returns n draws, or an array of the given ``size`` (e.g. a
@@ -437,26 +435,13 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng=None, size=None) -> np
     Hörmann & Leydold, "Generating generalized inverse Gaussian random
     variates", Stat. Comput. 24 (2014) (``_sample_gig``).
     """
-    rng = np.random.default_rng(spec.sampler_seed) if rng is None else rng
     size = n if size is None else size
     theta = spec.shape
     if theta < 0.0:
         raise UnsupportedShape("shape must be >= 0")
     fam = spec.family
-    if fam == "student-t":
-        if theta == 0.0:
-            return rng.standard_normal(size)
-        return rng.standard_t(1.0 / theta, size=size)
-    if fam == "gamma-centered":
-        if theta == 0.0:
-            return rng.standard_normal(size)
-        m = 1.0 / theta
-        return (rng.gamma(m, 1.0, size=size) - m) / math.sqrt(m)
-    if fam == "laplace":
-        if theta == 0.0:
-            return rng.standard_normal(size)
-        m = 1.0 / theta
-        return (rng.gamma(m, 1.0, size=size) - rng.gamma(m, 1.0, size=size)) / math.sqrt(2.0 * m)
+    if fam not in AlternativeSpec.FAMILIES:
+        raise UnsupportedShape(f"unknown family '{fam}'")
     if fam == "stable":
         alpha = 2.0 - theta
         if not 0.0 < alpha <= 2.0 or alpha == 1.0:
@@ -464,17 +449,22 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng=None, size=None) -> np
         if abs(spec.beta) > 1.0:
             raise UnsupportedShape("|beta| must be <= 1")
         return _sample_stable_m(alpha, spec.beta, size, rng)
-    if fam == "gh-variance-mean":
-        if theta == 0.0:
-            return rng.standard_normal(size)
-        if not -20.0 <= spec.lam <= 20.0:
-            raise UnsupportedShape("mixing index lam outside [-20, 20]")
-        b = 1.0 / theta  # delta*gamma of the symmetric mixing law
-        if not 0.0 < b <= 1e3:
-            raise UnsupportedShape("shape outside the validated mixing envelope")
-        y = _sample_gig(spec.lam, b, size, rng)
-        return -spec.beta + spec.beta * y + np.sqrt(y) * rng.standard_normal(size)
-    raise UnsupportedShape(f"unknown family '{fam}'")
+    if theta == 0.0:
+        return rng.standard_normal(size)
+    m = 1.0 / theta
+    if fam == "student-t":
+        return rng.standard_t(m, size=size)
+    if fam == "gamma-centered":
+        return (rng.gamma(m, 1.0, size=size) - m) / math.sqrt(m)
+    if fam == "laplace":
+        return (rng.gamma(m, 1.0, size=size) - rng.gamma(m, 1.0, size=size)) / math.sqrt(2.0 * m)
+    # gh-variance-mean: m is delta*gamma of the symmetric mixing law
+    if not -20.0 <= spec.lam <= 20.0:
+        raise UnsupportedShape("mixing index lam outside [-20, 20]")
+    if not 0.0 < m <= 1e3:
+        raise UnsupportedShape("shape outside the validated mixing envelope")
+    y = _sample_gig(spec.lam, m, size, rng)
+    return -spec.beta + spec.beta * y + np.sqrt(y) * rng.standard_normal(size)
 
 
 def power_curve(
@@ -487,7 +477,6 @@ def power_curve(
     seed: int,
     calibration: NullCalibration,
     beta: float = 0.0,
-    lam: float = 1.0,
 ) -> list:
     """Empirical rejection frequency over a grid of shape parameters.
 
@@ -496,6 +485,8 @@ def power_curve(
     same chunks as ``calibrate_null``.  A non-finite statistic value raises
     ScoreOverflow: it failed to evaluate, and would count as an acceptance.
     """
+    if reps < 1:
+        raise ValueError("power reps must be >= 1")
     if (calibration.n, calibration.statistic_label, calibration.fingerprint) != (
         n, statistic.label, statistic.fingerprint
     ):
@@ -503,7 +494,7 @@ def power_curve(
     crit = calibration.critical_value(level)
     out = []
     for gi, shape in enumerate(shapes):
-        spec = AlternativeSpec(family=family, shape=shape, beta=beta, lam=lam)
+        spec = AlternativeSpec(family=family, shape=shape, beta=beta)
         rejected = bad = 0
         for rng, m in block_substreams((seed, gi), reps, BLOCK_SIZE):
             for rows in _row_chunks(m, n):
@@ -548,7 +539,7 @@ def save_calibration(cal: NullCalibration, path) -> Path:
         _VERSION,
         _label_hash(cal.statistic_label, cal.fingerprint),
         cal.n,
-        max(cal.p, 0),
+        cal.p,
         cal.reps,
         cal.seed,
     )
@@ -583,7 +574,7 @@ def load_calibration(path, statistic_label: str, fingerprint: str = "") -> NullC
     return NullCalibration(
         statistic_label=statistic_label,
         n=n,
-        p=p if p > 0 else -1,
+        p=p,
         reps=reps,
         seed=seed,
         sorted_null_values=np.array(values),

@@ -16,17 +16,13 @@ import numpy as np
 
 from . import calibration as cal_mod
 from .errors import (
-    DegenerateSample,
     IncompatibleSelection,
-    InvalidDensity,
     InversionUnconverged,
     LbinormError,
     NotSquareIntegrable,
     ParseError,
     QuadratureUnconverged,
     ScoreOverflow,
-    SingularCovariance,
-    UnsupportedShape,
 )
 from .scores import (
     ScoreFunction,
@@ -37,18 +33,7 @@ from .scores import (
     score_infinitely_divisible,
 )
 from .stable import InversionConfig, score_stable
-from .univariate import QuadratureConfig
 
-_INPUT_ERRORS = (
-    ParseError,
-    DegenerateSample,
-    IncompatibleSelection,
-    SingularCovariance,
-    UnsupportedShape,
-    InvalidDensity,
-    FileNotFoundError,
-    ValueError,
-)
 _NUMERICAL_ERRORS = (
     QuadratureUnconverged,
     InversionUnconverged,
@@ -148,7 +133,7 @@ def _resolve_seed(args) -> int:
     return secrets.randbits(32)
 
 
-def _build_statistic(args, n: int):
+def _build_statistic(args):
     inv_cfg = InversionConfig(t_max=args.stable_tmax, nodes=args.stable_nodes)
     score = parse_score(args.score, inv_cfg) if args.score else None
     if args.test in ("skew", "kurt", "mvn"):
@@ -156,9 +141,7 @@ def _build_statistic(args, n: int):
     else:
         if score is None:
             raise IncompatibleSelection(f"--test {args.test} requires --score")
-        stat = cal_mod.make_statistic(
-            args.test, score=score, quad_cfg=QuadratureConfig()
-        )
+        stat = cal_mod.make_statistic(args.test, score=score)
     return stat, score
 
 
@@ -180,6 +163,8 @@ def _get_calibration(stat, n, p, reps, seed, cache_dir):
 
 
 def run_test(args) -> dict:
+    if not 0.0 < args.level < 1.0:
+        raise ValueError("level must be in (0, 1)")
     data = read_csv(args.input)
     seed = _resolve_seed(args)
     multivariate = data.ndim == 2
@@ -191,7 +176,7 @@ def run_test(args) -> dict:
         raise IncompatibleSelection("--test mvn requires multi-column input")
     n = data.shape[0]
     p = data.shape[1] if multivariate else 1
-    stat, score = _build_statistic(args, n)
+    stat, score = _build_statistic(args)
     value = stat.compute(data)
     cal, _ = _get_calibration(stat, n, p, args.reps, seed, args.calibration_cache)
     pv = cal_mod.p_value(cal, value)
@@ -225,7 +210,7 @@ def run_test(args) -> dict:
 
 def run_calibrate(args) -> Path:
     seed = _resolve_seed(args)
-    stat, _ = _build_statistic(args, args.n)
+    stat, _ = _build_statistic(args)
     p = args.p if args.test == "mvn" else 1
     cal = cal_mod.calibrate_null(stat, args.n, args.reps, seed, p=p)
     path = cal_mod.cache_path(
@@ -238,7 +223,7 @@ def run_calibrate(args) -> Path:
 
 def run_power(args) -> list:
     seed = _resolve_seed(args)
-    stat, _ = _build_statistic(args, args.n)
+    stat, _ = _build_statistic(args)
     cal, _ = _get_calibration(
         stat, args.n, 1, args.reps, seed, args.calibration_cache
     )
@@ -320,10 +305,7 @@ def main(argv=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LbinormError as exc:
+    except (LbinormError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -18,6 +18,7 @@ __all__ = [
     "standardized_moment",
     "power_sums",
     "block_substreams",
+    "central_difference",
     "not_a_knot_coefficients",
     "uniform_cubic",
     "hermite",
@@ -38,7 +39,9 @@ def standardize(values) -> np.ndarray:
     Raises
     ------
     DegenerateSample
-        If all observations of a sample are equal (zero variance).
+        If all observations of a sample are equal (zero variance), also
+        where an inexact mean leaves residuals of rounding size only:
+        s^2 <= (n * 2**-53 * mean)^2.
     ValueError
         If n < 3 or any value is non-finite.
     """
@@ -48,9 +51,10 @@ def standardize(values) -> np.ndarray:
         raise ValueError(f"need at least 3 observations, got {n}")
     if not np.isfinite(x).all():
         raise ValueError("sample contains non-finite values")
-    d = x - x.mean(axis=-1, keepdims=True)
+    mean = x.mean(axis=-1, keepdims=True)
+    d = x - mean
     s2 = (d * d).mean(axis=-1, keepdims=True)
-    if not (s2 > 0.0).all():
+    if not (s2 > (n * 2.0**-53 * mean) ** 2).all():
         raise DegenerateSample("zero sample variance: all values equal")
     d /= np.sqrt(s2)
     return d
@@ -99,6 +103,18 @@ def block_substreams(key, reps: int, block_size: int):
     """
     for i, start in enumerate(range(0, reps, block_size)):
         yield np.random.default_rng([*key, i]), min(block_size, reps - start)
+
+
+# Step of every central difference (``central_difference``).
+FD_STEP = 1e-6
+
+
+def central_difference(f, x) -> np.ndarray:
+    """(f(x + h) - f(x - h)) / 2h with h = ``FD_STEP``, for an elementwise f,
+    from one call of f on both point sets stacked along a new first axis."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(f(np.stack([x + FD_STEP, x - FD_STEP])))
+    return (v[0] - v[1]) / (2.0 * FD_STEP)
 
 
 def not_a_knot_coefficients(y: np.ndarray, step: float) -> np.ndarray:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .core import central_difference, uniform_cubic
 from .core import not_a_knot_coefficients as _not_a_knot_coefficients
-from .core import uniform_cubic
 from .errors import AlphaOne, InversionUnconverged
 from .scores import TAIL_SUBGAUSSIAN_DOMINATING, ScoreFunction
 
@@ -42,8 +42,6 @@ __all__ = [
 SCORE_CHUNK = 2**16
 # Elements of one (points x frequency nodes) phase block of the inversion.
 PHASE_BLOCK = 2**18
-# Central-difference step of the score's derivative outside its grid.
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,8 @@ def _panel_rule(max_abs_x: float, cfg: InversionConfig, nodes: int):
 
 
 def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: int) -> np.ndarray:
-    """Evaluate the inversion integral for an array of x with given node budget.
+    """Evaluate the inversion integral at every point of x, in the shape of x,
+    with the given node budget.
 
     The cosine integral is even in x and the sine integral odd, so both
     are evaluated once per distinct |x| and combined as C(|x|) + sgn(x) S(|x|).
@@ -177,8 +176,8 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
     other points of the call.  The phase matrix is built for at most
     ``PHASE_BLOCK`` (point, node) pairs at once.
     """
-    x = x.ravel()
-    ax, where = np.unique(np.abs(x), return_inverse=True)
+    flat = x.ravel()
+    ax, where = np.unique(np.abs(flat), return_inverse=True)
     # the |x| each point's panels are sized for, ascending with ax
     sized = np.maximum(np.ceil(ax), 4.0)
     even = np.empty(ax.size)
@@ -193,7 +192,7 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
             even[lo:hi] = (1.0 / math.pi) * np.einsum("ij,j->i", np.cos(phase), w_cos)
             if beta != 0.0:
                 odd[lo:hi] = (beta / 2.0) * np.einsum("ij,j->i", np.sin(phase), w_sin)
-    return even[where] + np.sign(x) * odd[where]
+    return (even[where] + np.sign(flat) * odd[where]).reshape(x.shape)
 
 
 def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None, check: bool = True):
@@ -212,14 +211,14 @@ def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None
         raise ValueError("stable density derivative needs finite x")
     coarse = _inversion_values(x, beta, cfg, cfg.nodes)
     if not check:
-        return coarse if coarse.size > 1 else float(coarse[0])
+        return coarse if coarse.size > 1 else coarse.item()
     fine = _inversion_values(x, beta, cfg, 2 * cfg.nodes)
     scale = np.maximum(np.abs(fine), 1e-12)
     if np.max(np.abs(fine - coarse) / scale) > 1e-8:
         raise InversionUnconverged(
             "inversion changed by more than 1e-8 relative under node doubling"
         )
-    return fine if fine.size > 1 else float(fine[0])
+    return fine if fine.size > 1 else fine.item()
 
 
 def normal_var2_pdf(x):
@@ -236,7 +235,8 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     the grid cell found by division (no search); evaluations outside the
     grid fall back to direct inversion, all of one call's in one batch.
     The derivative is the spline's own inside the grid and the central
-    difference (step ``FD_STEP``) of the direct inversion outside it.
+    difference (``core.central_difference``) of the direct inversion
+    outside it.
     The tail grows like exp(x^2/4)/|x|^3, so the score is not square
     integrable under the Gaussian weight.
 
@@ -266,10 +266,6 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     def log_bound(x):
         return log_envelope + 0.25 * (x * x)
 
-    def direct_slope(x):
-        v = direct(np.concatenate([x + FD_STEP, x - FD_STEP]))
-        return (v[:x.size] - v[x.size:]) / (2.0 * FD_STEP)
-
     def on_grid(rows, beyond):
         def evaluate(x):
             out = uniform_cubic(rows, half, step, x, beyond, SCORE_CHUNK)
@@ -281,7 +277,7 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
         evaluate=on_grid(coef, direct),
         family_label=f"stable:beta={beta:g}",
         tail_class=TAIL_SUBGAUSSIAN_DOMINATING,
-        derivative=on_grid(slope, direct_slope),
+        derivative=on_grid(slope, functools.partial(central_difference, direct)),
         fingerprint=repr(cfg),
         log_bound=log_bound,
     )

@@ -18,8 +18,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import (BLOCK_SIZE, block_substreams, not_a_knot_coefficients, power_sums,
-                   standardized_moment, uniform_cubic)
+from .core import (BLOCK_SIZE, block_substreams, central_difference, not_a_knot_coefficients,
+                   power_sums, standardized_moment, uniform_cubic)
 from .errors import QuadratureUnconverged, ScoreOverflow
 from .scores import ScoreFunction
 
@@ -48,17 +48,14 @@ TABLE_HALFWIDTH = 3.0
 TABLE_MARGIN = 4
 # Values per score call of the direct node sum: bounds its temporaries.
 NODE_BLOCK = 2**16
-# Step of the central difference of a score without its own derivative.
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts and truncation for the 2-D location/scale quadrature."""
+    """Node counts and drift tolerance of the 2-D location/scale quadrature."""
 
     a_nodes: int = 96
     b_nodes: int = 96
-    b_max: Optional[float] = None  # default 1 + 10/sqrt(n)
     rtol: float = 1e-6
 
     def __post_init__(self):
@@ -215,13 +212,14 @@ def _ab_rule(n: int, cfg: QuadratureConfig):
     """Quadrature nodes/weights absorbing the exp(-n(a^2+b^2)/2) b^(n-2) weight.
 
     a-integral: Gauss-Hermite after a = u*sqrt(2/n); b-integral:
-    Gauss-Legendre on [0, b_max] with the weight kept in the integrand.
+    Gauss-Legendre on [0, 1 + 10/sqrt(n)] with the weight kept in the
+    integrand.
     Cached per (n, cfg); the returned arrays are read-only.
     """
     u, wu = hermgauss(cfg.a_nodes)
     a = u * math.sqrt(2.0 / n)
     wa = wu * math.sqrt(2.0 / n)
-    b_max = cfg.b_max if cfg.b_max is not None else 1.0 + 10.0 / math.sqrt(n)
+    b_max = 1.0 + 10.0 / math.sqrt(n)
     x, wx = leggauss(cfg.b_nodes)
     b = 0.5 * b_max * (x + 1.0)
     wb = 0.5 * b_max * wx * np.exp(-0.5 * n * b * b) * b ** (n - 2)
@@ -344,13 +342,10 @@ def profile_likelihood_statistic(z, h: ScoreFunction):
     a float for one sample, an array for a (m, n) batch.
 
     The derivative is the score's own where it has one (polynomial and
-    stable scores) and by central differences of step ``FD_STEP`` otherwise.
+    stable scores) and ``core.central_difference`` otherwise.
     """
     z = np.asarray(z, dtype=float)
-    if h.derivative is not None:
-        dv = np.asarray(h.derivative(z))
-    else:
-        dv = (np.asarray(h(z + FD_STEP)) - np.asarray(h(z - FD_STEP))) / (2.0 * FD_STEP)
+    dv = np.asarray(h.derivative(z)) if h.derivative is not None else central_difference(h, z)
     return np.sum(z * dv, axis=-1)
 
 

@@ -1,5 +1,6 @@
 """Null calibration, p-values, alternative samplers, power and the cache."""
 
+import contextlib
 import math
 import os
 import tracemalloc
@@ -271,6 +272,13 @@ class TestPowerCurve:
         with pytest.raises(ValueError):
             power_curve(spec, "laplace", [0.1], 12, 0.05, 5000, seed=25, calibration=cal)
 
+    @pytest.mark.parametrize("reps", [0, -5])
+    def test_reps_below_one_rejected(self, reps):
+        spec = make_statistic("kurt")
+        cal = calibrate_null(spec, 12, 20_000, seed=24)
+        with pytest.raises(ValueError, match="power reps must be >= 1"):
+            power_curve(spec, "laplace", [0.1], 12, 0.05, reps, seed=25, calibration=cal)
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):
@@ -293,6 +301,13 @@ class TestCache:
         path = save_calibration(cal, tmp_path / "c.lbical")
         with pytest.raises(ValueError):
             load_calibration(path, "kurt")
+
+    @pytest.mark.parametrize("reps, low", [(2000, True), (20_000, False)])
+    def test_low_reps_read_back_from_the_cache(self, tmp_path, reps, low):
+        with pytest.warns(UserWarning) if low else contextlib.nullcontext():
+            cal = calibrate_null(make_statistic("skew"), 9, reps, seed=30)
+        loaded = load_calibration(save_calibration(cal, tmp_path / "low.lbical"), cal.statistic_label)
+        assert cal.low_reps is loaded.low_reps is low
 
 
 class TestCacheFingerprint:

@@ -273,6 +273,25 @@ class TestBadInput:
         code, err = self._run(path, capsys)
         assert code == 2 and "zero sample variance" in err
 
+    def test_constant_column_with_inexact_mean(self, tmp_path, capsys):
+        path = tmp_path / "c01.csv"
+        path.write_text("0.1\n" * 20)
+        code, err = self._run(path, capsys)
+        assert code == 2 and "zero sample variance" in err
+
+    @pytest.mark.parametrize("level", ["5", "1", "0", "-0.1", "nan"])
+    def test_level_outside_unit_interval(self, uni_csv, capsys, level):
+        code, err = self._run(uni_csv, capsys, "--level", level)
+        assert code == 2 and "level must be in (0, 1)" in err
+
+    @pytest.mark.parametrize("power_reps", ["0", "-5"])
+    def test_power_reps_below_one(self, capsys, power_reps):
+        code = main(["power", "--test", "kurt", "--n", "10", "--family", "laplace", "--shapes", "0.2",
+                     "--reps", "1000", "--power-reps", power_reps, "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: power reps must be >= 1\n"
+
     def test_cache_of_another_n_is_refused(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(["calibrate", "--test", "kurt", "--n", "20", "--reps", "1000", "--seed", "1",

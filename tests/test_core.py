@@ -52,6 +52,17 @@ class TestStandardize:
         with pytest.raises(ValueError):
             standardize([1.0, 2.0, np.nan])
 
+    def test_constant_sample_with_inexact_mean_raises(self):
+        # the mean of twenty 0.1s is 0.1 + 1.4e-17: every residual is +-1.4e-17
+        x = np.full(20, 0.1)
+        assert x.mean() != 0.1
+        with pytest.raises(DegenerateSample, match="zero sample variance"):
+            standardize(x)
+        stack = np.random.default_rng(14).normal(size=(3, 20))
+        stack[2] = x
+        with pytest.raises(DegenerateSample, match="zero sample variance"):
+            standardize(stack)
+
     def test_stack_equals_row_by_row(self):
         x = np.random.default_rng(12).normal(size=(3, 7))
         assert np.array_equal(standardize(x), np.stack([standardize(row) for row in x]))

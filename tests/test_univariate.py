@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from lbinorm.core import (
+    FD_STEP,
+    central_difference,
     coefficient_c,
     null_denominator_constant,
     standardize,
@@ -13,7 +15,8 @@ from lbinorm.core import (
 )
 from lbinorm.errors import QuadratureUnconverged, ScoreOverflow
 from lbinorm import univariate
-from lbinorm.scores import ScoreFunction, score_gh_limit, score_hermite
+from lbinorm.scores import (ScoreFunction, builtin_contaminations, score_contamination,
+                            score_gh_limit, score_hermite)
 from lbinorm.univariate import (
     QuadratureConfig,
     kurtosis,
@@ -253,6 +256,20 @@ class TestProfileLikelihood:
             3.0 * z.size * standardized_moment(z, 3),
             rtol=1e-7,
         )
+
+    def test_central_difference_is_the_two_call_formula(self):
+        h = score_contamination(builtin_contaminations()["normal-scale-2"])
+        z = standardize(np.random.default_rng(44).normal(size=(3, 8)))
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return h(x)
+
+        got = central_difference(counted, z)
+        assert calls == [(2, 3, 8)]
+        np.testing.assert_array_equal(got, (h(z + FD_STEP) - h(z - FD_STEP)) / (2.0 * FD_STEP))
+        np.testing.assert_array_equal(profile_likelihood_statistic(z, h), np.sum(z * got, axis=-1))
 
 
 class TestMomentStatistics:

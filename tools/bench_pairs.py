@@ -22,7 +22,9 @@ change wins at least nine pairs in ten and its median is better than the
 parent's by more than the parent's interquartile range, ``worse`` when
 its median is worse than the parent's by more than the bound (a fraction
 of the parent's median), and ``flat`` otherwise.  Every run's
-correctness and failed share are kept too.
+correctness and failed share are kept too, and for each side the commit
+its checkout is at and whether its tree differs from that commit (both
+null where the directory is not the top of a git checkout).
 """
 
 import argparse
@@ -44,6 +46,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def checkout_state(checkout: Path) -> dict:
+    """``git rev-parse HEAD`` of a checkout and whether ``git status
+    --porcelain`` lists anything; nulls where it is not a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    try:
+        top = git("rev-parse", "--show-toplevel")
+    except FileNotFoundError:  # no git
+        return {"commit": None, "dirty": None}
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != checkout:
+        return {"commit": None, "dirty": None}
+    return {"commit": git("rev-parse", "HEAD").stdout.strip(),
+            "dirty": bool(git("status", "--porcelain").stdout.strip())}
 
 
 def verdict(parent_median: float, change_median: float, iqr: float, wins: int,
@@ -96,7 +114,9 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
 
-    report = {"pr": args.pr, "seconds": seconds, "workloads": {}}
+    report = {"pr": args.pr, "seconds": seconds,
+              "checkouts": {side: checkout_state(checkouts[side]) for side in SIDES},
+              "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
         seeds = [args.first_seed + i for i in range(PAIRS)]
         runs = {side: [] for side in SIDES}
