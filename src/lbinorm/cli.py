@@ -162,9 +162,14 @@ def _get_calibration(stat, n, p, reps, seed, cache_dir):
     return cal, path
 
 
-def run_test(args) -> dict:
-    if not 0.0 < args.level < 1.0:
+def _check_level(level: float) -> None:
+    """Refuse a level outside (0, 1) before any input is read or null built."""
+    if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
+
+
+def run_test(args) -> dict:
+    _check_level(args.level)
     data = read_csv(args.input)
     seed = _resolve_seed(args)
     multivariate = data.ndim == 2
@@ -222,6 +227,9 @@ def run_calibrate(args) -> Path:
 
 
 def run_power(args) -> list:
+    _check_level(args.level)
+    if args.power_reps < 1:
+        raise ValueError("power reps must be >= 1")
     seed = _resolve_seed(args)
     stat, _ = _build_statistic(args)
     cal, _ = _get_calibration(

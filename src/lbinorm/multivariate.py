@@ -5,9 +5,13 @@ column sums and (1/n) Z'Z = I.  ``stat_gl`` is the fully linear-invariant
 fourth-moment statistic sum ||z_i||^4; ``stat_lt`` is the triangular-group
 statistic, which weights coordinates by their position and is therefore
 coordinate-order dependent by design.  All three also take a stack of
-samples, shape (..., n, p), and work on each n x p sample of it in one
-numpy call; a single n x p sample gives a plain float statistic.  The
-moment functions and the Wishart check back the triangular statistic
+samples, shape (..., n, p), in any memory layout, and work on each n x p
+sample of it in one numpy call; a single n x p sample gives a plain float
+statistic.  Their arithmetic runs coordinate-major: ``whiten`` centres and
+solves on one contiguous (..., p, n) copy and returns a (..., n, p) view
+of its result, and the statistics read that view back as p length-n rows,
+so every loop runs over the p coordinates and acts on whole rows, with no
+reduction over a length-p axis.  The moment functions and the Wishart check back the triangular statistic
 with independent samplers.
 """
 
@@ -31,10 +35,15 @@ __all__ = [
 def whiten(X) -> np.ndarray:
     """Cholesky standardization Z = (X - mean) (T')^{-1} with S = TT'.
 
-    ``X`` is one n x p sample or a stack (..., n, p) of them; each sample
-    is whitened on its own.  The covariance uses the divisor n.  Requires
-    n >= p + 2 and a positive definite S for every sample; raises
-    SingularCovariance otherwise.
+    ``X`` is one n x p sample or a stack (..., n, p) of them, in any memory
+    layout; each sample is whitened on its own and ``X`` is never written.
+    The covariance uses the divisor n.  Requires n >= p + 2 and a positive
+    definite S for every sample; raises SingularCovariance otherwise.
+
+    The arithmetic runs coordinate-major: the centred sample is held as one
+    contiguous (..., p, n) array, whose rows are whole coordinates.  The
+    result is a (..., n, p) view of such an array, so the statistics read
+    its coordinates as contiguous rows.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim < 2:
@@ -42,19 +51,21 @@ def whiten(X) -> np.ndarray:
     n, p = X.shape[-2:]
     if n < p + 2:
         raise ValueError(f"need n >= p + 2, got n={n}, p={p}")
-    D = X - X.mean(axis=-2, keepdims=True)
-    Dt = np.swapaxes(D, -1, -2)
-    S = Dt @ D / n
+    Dt = np.swapaxes(X, -1, -2).copy()  # C order: a copy, never a view of X
+    Dt -= Dt.mean(axis=-1, keepdims=True)
+    S = Dt @ np.swapaxes(Dt, -1, -2) / n
     try:
         T = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise SingularCovariance("sample covariance is not positive definite") from exc
-    # z_i = T^{-1} (x_i - xbar): solve T Z' = D' by forward substitution, row j
-    # of Z' from the rows before it
-    Zt = np.empty_like(Dt)
+    # z_i = T^{-1} (x_i - xbar); row j of the lower-triangular L = T^{-1}
+    # from the rows before it (T L = I), then Z' = L D' in one product
+    L = np.zeros_like(T)
     for j in range(p):
-        Zt[..., j, :] = (Dt[..., j, :] - (T[..., j, None, :j] @ Zt[..., :j, :])[..., 0, :]) / T[..., j, j, None]
-    return np.swapaxes(Zt, -1, -2)
+        L[..., j, :j] = -(T[..., j, None, :j] @ L[..., :j, :j])[..., 0, :]
+        L[..., j, j] = 1.0
+        L[..., j, :j + 1] /= T[..., j, j, None]
+    return np.swapaxes(L @ Dt, -1, -2)
 
 
 def _per_sample(total: np.ndarray) -> float | np.ndarray:
@@ -62,11 +73,22 @@ def _per_sample(total: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
+def _squared_coordinates(Z):
+    """z_ij^2 as one (..., n) row per coordinate j = p, ..., 1 (last first),
+    read off the coordinate-major view of Z: contiguous rows for
+    ``whiten``'s output, any layout otherwise."""
+    Zt = np.swapaxes(np.asarray(Z, dtype=float), -1, -2)
+    for j in range(Zt.shape[-2] - 1, -1, -1):
+        yield np.square(Zt[..., j, :])
+
+
 def stat_gl(Z) -> float | np.ndarray:
     """Fourth-moment statistic sum_i ||z_i||^4, invariant under all
     nonsingular linear maps of the data; per sample of a (..., n, p) stack."""
-    Z = np.asarray(Z, dtype=float)
-    r = np.sum(Z * Z, axis=-1)
+    rows = _squared_coordinates(Z)
+    r = next(rows)
+    for q in rows:
+        r += q
     return _per_sample(np.sum(r * r, axis=-1))
 
 
@@ -80,26 +102,24 @@ def stat_lt(Z) -> float | np.ndarray:
         - 2(n+p)   sum_i sum_{j,k} min(j,k) z_ij^2 z_ik^2
         + 4 sum_i (sum_j j z_ij^2)^2,
 
-    per sample of a (..., n, p) stack.  Uses min(j,k) = sum_m 1[j>=m]
-    1[k>=m], so the min-sum is a sum of squared suffix sums, and
-    max = j + k - min.
+    per sample of a (..., n, p) stack.  With q_ij = z_ij^2 and the suffix
+    sums s_im = sum_{j>=m} q_ij: ||z_i||^2 = s_i1, u_i = sum_j j q_ij =
+    sum_m s_im, sum_{j,k} min(j,k) q_ij q_ik = sum_m s_im^2 (as min(j,k) =
+    sum_m 1[j>=m] 1[k>=m]) and max = j + k - min, so the sum is
+    sum_i [(n+p+2)(n+p) s_i1^2 - 4(n+p+2) u_i s_i1 + 4 sum_m s_im^2 + 4 u_i^2].
+    Each is built by adding the p coordinate rows, from the last.
     """
-    Z = np.asarray(Z, dtype=float)
-    n, p = Z.shape[-2:]
-    q = Z * Z
-    r = q.sum(axis=-1)  # ||z_i||^2
-    j = np.arange(1, p + 1)
-    u = q @ j  # sum_j j z_ij^2
-    suffix = np.cumsum(q[..., ::-1], axis=-1)[..., ::-1]  # suffix[m] = sum_{j>=m} q_ij
-    mn = np.sum(suffix * suffix, axis=-1)  # sum_{j,k} min(j,k) q_ij q_ik
-    mx = 2.0 * u * r - mn
-    total = (
-        (n + p + 2) * (n + p) * np.sum(r * r, axis=-1)
-        - 2.0 * (n + p + 2) * np.sum(mx, axis=-1)
-        - 2.0 * (n + p) * np.sum(mn, axis=-1)
-        + 4.0 * np.sum(u * u, axis=-1)
-    )
-    return _per_sample(total)
+    n, p = np.shape(Z)[-2:]
+    rows = _squared_coordinates(Z)
+    s = next(rows)
+    u = s.copy()
+    mn = s * s
+    for q in rows:
+        s += q
+        u += s
+        mn += s * s
+    per_row = s * ((n + p + 2) * (n + p) * s - 4.0 * (n + p + 2) * u) + 4.0 * (mn + u * u)
+    return _per_sample(np.sum(per_row, axis=-1))
 
 
 def moment_R(z, m: float) -> float:

@@ -292,6 +292,20 @@ class TestBadInput:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: power reps must be >= 1\n"
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--level", "5", "level must be in (0, 1)"),
+        ("--power-reps", "0", "power reps must be >= 1"),
+    ])
+    def test_power_refuses_before_building_the_null(self, tmp_path, capsys, option, value, message):
+        cache = tmp_path / "pc"
+        cache.mkdir()
+        code = main(["power", "--test", "kurt", "--n", "20", "--family", "laplace", "--shapes", "0.2",
+                     "--reps", "1000", "--seed", "1", "--calibration-cache", str(cache), option, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not list(cache.glob("*.lbical"))
+
     def test_cache_of_another_n_is_refused(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         assert main(["calibrate", "--test", "kurt", "--n", "20", "--reps", "1000", "--seed", "1",

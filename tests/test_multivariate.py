@@ -229,3 +229,56 @@ def test_whiten_stack_matches_general_solve(p):
     T = np.linalg.cholesky(np.swapaxes(D, -1, -2) @ D / X.shape[-2])
     ref = np.swapaxes(np.linalg.solve(T, np.swapaxes(D, -1, -2)), -1, -2)
     np.testing.assert_allclose(whiten(X), ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def _layouts(A):
+    """The same values as a C-ordered array, a Fortran-ordered copy, a
+    strided slice of a larger array and a read-only array."""
+    strided = np.zeros(tuple(2 * s + 1 for s in A.shape))
+    view = strided[tuple(slice(1, None, 2) for _ in A.shape)]
+    view[...] = A
+    read_only = A.copy()
+    read_only.setflags(write=False)
+    return {"C": np.ascontiguousarray(A), "F": np.asfortranarray(A), "strided": view,
+            "read-only": read_only}
+
+
+class TestMemoryLayouts:
+    """whiten and the statistics give one answer whatever the input's layout."""
+
+    @pytest.mark.parametrize("shape", [(30, 4), (7, 30, 4), (2, 3, 12, 5)])
+    def test_whiten_and_statistics_agree_across_layouts(self, shape):
+        X = np.random.default_rng(60).standard_normal(shape) @ (np.eye(shape[-1]) + 0.3)
+        Z = whiten(X)
+        for name, Xl in _layouts(X).items():
+            np.testing.assert_allclose(whiten(Xl), Z, rtol=1e-12, atol=1e-12, err_msg=name)
+        for fn in (stat_gl, stat_lt):
+            ref = fn(Z)
+            for name, Zl in _layouts(Z).items():
+                np.testing.assert_allclose(fn(Zl), ref, rtol=1e-12, atol=0.0, err_msg=name)
+                np.testing.assert_allclose(fn(whiten(Zl)), ref, rtol=1e-12, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("shape", [(30, 4), (7, 30, 4)])
+    def test_whiten_never_writes_its_input(self, shape):
+        X = np.random.default_rng(61).standard_normal(shape) + 5.0
+        for name, Xl in _layouts(X).items():
+            before = Xl.copy()
+            whiten(Xl)
+            np.testing.assert_array_equal(Xl, before, err_msg=name)
+
+    @pytest.mark.parametrize("p", [3, 5, 8])
+    def test_near_collinear_matches_scipy_triangular_solve(self, p):
+        # integer columns of ~1e6, the last one their sum off by at most 1,
+        # and rows Y, -Y: the mean is 0 and D'D/n is exact, so whiten and
+        # the reference share S and T, and differ only in applying T^{-1}
+        rng = np.random.default_rng(62 + p)
+        Y = rng.integers(-10**6, 10**6, size=(8, p)).astype(float)
+        Y[:, -1] = Y[:, :-1].sum(axis=1) + rng.integers(-1, 2, size=8)
+        X = np.concatenate([Y, -Y])
+        T = np.linalg.cholesky(X.T @ X / X.shape[0])
+        cond = np.linalg.cond(T)
+        assert cond > 1e6
+        ref = solve_triangular(T, X.T, lower=True).T
+        tol = p * np.finfo(float).eps * cond * np.max(np.abs(ref))
+        np.testing.assert_allclose(whiten(X), ref, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(whiten(np.stack([X, X[::-1]]))[1], ref[::-1], rtol=0.0, atol=tol)
