@@ -11,8 +11,8 @@ statistic.  Their arithmetic runs coordinate-major: ``whiten`` centres and
 solves on one contiguous (..., p, n) copy and returns a (..., n, p) view
 of its result, and the statistics read that view back as p length-n rows,
 so every loop runs over the p coordinates and acts on whole rows, with no
-reduction over a length-p axis.  The moment functions and the Wishart check back the triangular statistic
-with independent samplers.
+reduction over a length-p axis.  The moment functions and the Wishart
+check back the triangular statistic with independent samplers.
 """
 
 import math
@@ -40,13 +40,12 @@ def whiten(X) -> np.ndarray:
     The covariance uses the divisor n.  Requires n >= p + 2 and a positive
     definite S for every sample; raises SingularCovariance otherwise.
 
-    The arithmetic runs coordinate-major: the centred sample is held as one
-    contiguous (..., p, n) array, whose rows are whole coordinates.  The
-    result is a (..., n, p) view of such an array, so the statistics read
-    its coordinates as contiguous rows.
+    The arithmetic runs coordinate-major, on one contiguous (..., p, n)
+    copy whose rows are whole coordinates; the result is a (..., n, p) view
+    of such an array, whose coordinates the statistics read as rows.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim < 2:
+    if X.ndim < 2 or X.shape[-1] < 1:
         raise ValueError("expected an n x p matrix")
     n, p = X.shape[-2:]
     if n < p + 2:
@@ -73,22 +72,23 @@ def _per_sample(total: np.ndarray) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def _squared_coordinates(Z):
-    """z_ij^2 as one (..., n) row per coordinate j = p, ..., 1 (last first),
-    read off the coordinate-major view of Z: contiguous rows for
-    ``whiten``'s output, any layout otherwise."""
-    Zt = np.swapaxes(np.asarray(Z, dtype=float), -1, -2)
-    for j in range(Zt.shape[-2] - 1, -1, -1):
-        yield np.square(Zt[..., j, :])
+def _coordinate_major(Z) -> np.ndarray:
+    """The (..., p, n) view of a (..., n, p) sample or stack: contiguous
+    coordinate rows for ``whiten``'s output, any layout otherwise."""
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim < 2 or Z.shape[-1] < 1:
+        raise ValueError("expected an n x p matrix")
+    return np.swapaxes(Z, -1, -2)
 
 
 def stat_gl(Z) -> float | np.ndarray:
     """Fourth-moment statistic sum_i ||z_i||^4, invariant under all
     nonsingular linear maps of the data; per sample of a (..., n, p) stack."""
-    rows = _squared_coordinates(Z)
-    r = next(rows)
-    for q in rows:
-        r += q
+    Zt = _coordinate_major(Z)
+    p = Zt.shape[-2]
+    r = np.square(Zt[..., p - 1, :])
+    for j in range(p - 2, -1, -1):
+        r += np.square(Zt[..., j, :])
     return _per_sample(np.sum(r * r, axis=-1))
 
 
@@ -109,13 +109,13 @@ def stat_lt(Z) -> float | np.ndarray:
     sum_i [(n+p+2)(n+p) s_i1^2 - 4(n+p+2) u_i s_i1 + 4 sum_m s_im^2 + 4 u_i^2].
     Each is built by adding the p coordinate rows, from the last.
     """
-    n, p = np.shape(Z)[-2:]
-    rows = _squared_coordinates(Z)
-    s = next(rows)
+    Zt = _coordinate_major(Z)
+    p, n = Zt.shape[-2:]
+    s = np.square(Zt[..., p - 1, :])
     u = s.copy()
     mn = s * s
-    for q in rows:
-        s += q
+    for m in range(p - 2, -1, -1):
+        s += np.square(Zt[..., m, :])
         u += s
         mn += s * s
     per_row = s * ((n + p + 2) * (n + p) * s - 4.0 * (n + p + 2) * u) + 4.0 * (mn + u * u)

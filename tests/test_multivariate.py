@@ -56,6 +56,12 @@ class TestWhiten:
         with pytest.raises(ValueError):
             whiten(np.random.default_rng(3).normal(size=(3, 2)))
 
+    @pytest.mark.parametrize("fn", [whiten, stat_gl, stat_lt])
+    @pytest.mark.parametrize("shape", [(8,), (8, 0), (3, 8, 0)])
+    def test_no_coordinates_rejected(self, fn, shape):
+        with pytest.raises(ValueError, match="expected an n x p matrix"):
+            fn(np.zeros(shape))
+
 
 class TestStatGl:
     def test_p1_reduction_to_kurtosis_direction(self):
