@@ -15,6 +15,13 @@ For beta = 0 the inversion reduces to two real half-line integrals
 evaluated by composite Gauss-Legendre panels: geometric refinement
 toward t = 0 (integrable log singularity of the derivative) and
 per-period splitting of the oscillatory factor for large |x|.
+
+The score is tabulated once per process on a uniform grid.  There the
+points of one panel size form an arithmetic progression, and the node
+sums are taken by angle addition as matrix products (``_progression_values``):
+cosines and sines of ~2 sqrt(k) phase rows for k points instead of k, which
+takes a third to a fifth of the time of per-point sums.  Every
+other evaluation sums each point on its own.
 """
 
 import functools
@@ -129,7 +136,35 @@ def _panel_edges(max_abs_x: float, cfg: InversionConfig, nodes: int) -> np.ndarr
     while t < cfg.t_max - 1e-12:
         t = min(t + width, cfg.t_max)
         edges.append(t)
-    return np.unique(np.asarray(edges))
+    return _unique(np.asarray(edges))[0]
+
+
+def _unique(values: np.ndarray):
+    """The sorted distinct values of a finite 1-D array and the index of each
+    value among them, as ``np.unique(values, return_inverse=True)`` gives,
+    from one sort.  (numpy's own ``unique`` imports ``numpy.ma`` on first
+    use, ~14 ms that only a stable score's process would pay.)"""
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(ordered.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(values.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+@functools.lru_cache(maxsize=8)
+def _score_grid(cfg: InversionConfig):
+    """The score's tabulation grid, uniform and exactly symmetric about 0, and
+    its step.  Built once per cfg; the grid is read-only, and the inversion
+    recognizes it by identity (see ``_inversion_values``)."""
+    half = cfg.grid_halfwidth
+    npts = int(round(2.0 * half / cfg.grid_step)) + 1
+    step = 2.0 * half / (npts - 1)
+    grid = step * (np.arange(npts) - 0.5 * (npts - 1))
+    grid.setflags(write=False)
+    return grid, step
 
 
 @functools.cache
@@ -171,20 +206,27 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
 
     The cosine integral is even in x and the sine integral odd, so both
     are evaluated once per distinct |x| and combined as C(|x|) + sgn(x) S(|x|).
-    The panels of a point are sized for max(4, ceil(|x|)), and every sum
-    runs over one point's nodes alone, so a value does not depend on the
-    other points of the call.  The phase matrix is built for at most
-    ``PHASE_BLOCK`` (point, node) pairs at once.
+    The panels of a point are sized for max(4, ceil(|x|)).  When x is the
+    score's tabulation grid (``_score_grid``), the distinct |x| of one panel
+    size are an arithmetic progression, summed by ``_progression_values``.
+    Otherwise every sum runs over one point's nodes alone, so a value does
+    not depend on the other points of the call, and the phase matrix is
+    built for at most ``PHASE_BLOCK`` (point, node) pairs at once.
     """
     flat = x.ravel()
-    ax, where = np.unique(np.abs(flat), return_inverse=True)
+    ax, where = _unique(np.abs(flat))
+    grid, step = _score_grid(cfg)
     # the |x| each point's panels are sized for, ascending with ax
     sized = np.maximum(np.ceil(ax), 4.0)
     even = np.empty(ax.size)
     odd = np.zeros(ax.size)
-    for bound in np.unique(sized):
+    for bound in _unique(sized)[0]:
         tt, w_cos, w_sin = _panel_rule(float(bound), cfg, nodes)
         first, stop = np.searchsorted(sized, [bound, bound + 1.0])
+        if x is grid:
+            even[first:stop], odd[first:stop] = _progression_values(
+                ax[first:stop], step, beta, (tt, w_cos, w_sin))
+            continue
         rows = max(1, PHASE_BLOCK // tt.size)
         for lo in range(first, stop, rows):
             hi = min(lo + rows, stop)
@@ -193,6 +235,31 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
             if beta != 0.0:
                 odd[lo:hi] = (beta / 2.0) * np.einsum("ij,j->i", np.sin(phase), w_sin)
     return (even[where] + np.sign(flat) * odd[where]).reshape(x.shape)
+
+
+def _progression_values(ax, step: float, beta: float, rule):
+    """The even and odd parts of the inversion at every x of ``ax``, an
+    arithmetic progression of difference ``step``, on one panel ``rule``.
+
+    The k-th point is split as x_a + x_b with x_a = ax[a m], x_b = b step
+    and k = a m + b, m ~ sqrt(ax.size).  By angle addition,
+    cos(x t) = cos(x_a t) cos(x_b t) - sin(x_a t) sin(x_b t) and
+    sin(x t) = sin(x_a t) cos(x_b t) + cos(x_a t) sin(x_b t), so cosines
+    and sines are taken on ~2 sqrt(ax.size) rows of phases, not on
+    ax.size, and the node sums are matrix products.
+    """
+    tt, w_cos, w_sin = rule
+    count = ax.size
+    m = math.isqrt(count - 1) + 1
+    phase_a = np.outer(ax[::m], tt)
+    phase_b = np.outer(step * np.arange(m), tt)
+    cos_a, sin_a = np.cos(phase_a), np.sin(phase_a)
+    cos_b, sin_b = np.cos(phase_b).T, np.sin(phase_b).T
+    even = (1.0 / math.pi) * ((cos_a * w_cos) @ cos_b - (sin_a * w_cos) @ sin_b).ravel()[:count]
+    if beta == 0.0:
+        return even, 0.0
+    odd = (beta / 2.0) * ((sin_a * w_sin) @ cos_b + (cos_a * w_sin) @ sin_b).ravel()[:count]
+    return even, odd
 
 
 def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None, check: bool = True):
@@ -213,10 +280,13 @@ def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None
     if not check:
         return coarse if coarse.size > 1 else coarse.item()
     fine = _inversion_values(x, beta, cfg, 2 * cfg.nodes)
-    scale = np.maximum(np.abs(fine), 1e-12)
-    if np.max(np.abs(fine - coarse) / scale) > 1e-8:
+    drift = (np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-12)).ravel()
+    worst = int(np.argmax(drift))  # the first NaN, if there is one
+    if not drift[worst] <= 1e-8:
         raise InversionUnconverged(
-            "inversion changed by more than 1e-8 relative under node doubling"
+            "inversion changed by more than 1e-8 relative under node doubling; "
+            f"worst at x = {x.flat[worst]:.6g}, where d(x) = {fine.flat[worst]:.6e} "
+            f"moved by {drift[worst]:.3e} relative"
         )
     return fine if fine.size > 1 else fine.item()
 
@@ -230,7 +300,8 @@ def normal_var2_pdf(x):
 def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFunction:
     """Stable-family score: density derivative divided by the N(0,2) density.
 
-    Values are precomputed on a uniform grid, symmetric about 0, and
+    Values are precomputed on a uniform grid, symmetric about 0
+    (``_score_grid``, whose inversion sums by angle addition), and
     interpolated with a not-a-knot cubic spline, evaluated by Horner in
     the grid cell found by division (no search); evaluations outside the
     grid fall back to direct inversion, all of one call's in one batch.
@@ -248,10 +319,7 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     """
     cfg = cfg or InversionConfig()
     half = cfg.grid_halfwidth
-    npts = int(round(2.0 * half / cfg.grid_step)) + 1
-    step = 2.0 * half / (npts - 1)
-    # exactly symmetric, so the inversion runs once per distinct |x|
-    grid = step * (np.arange(npts) - 0.5 * (npts - 1))
+    grid, step = _score_grid(cfg)
     y = np.asarray(stable_density_derivative(grid, beta, cfg)) / normal_var2_pdf(grid)
     coef = _not_a_knot_coefficients(y, step)
     slope = coef[:3] * np.array([[3.0], [2.0], [1.0]])

@@ -1,4 +1,5 @@
-"""The verdict rule of tools/bench_pairs.py on synthetic pairs of runs."""
+"""The verdict rule and the outcome flags of tools/bench_pairs.py on synthetic
+pairs of runs."""
 
 import importlib.util
 from pathlib import Path
@@ -85,3 +86,37 @@ class TestVerdict:
     ])
     def test_higher_is_better(self, wins, change_median, expected):
         assert bench_pairs.verdict(1.0, change_median, 0.125, wins, False, 0.25) == expected
+
+
+def _runs(failed, correct=True, attempted=54):
+    """Ten runs of one side, each attempting ``attempted`` operations."""
+    return [{"correct": correct, "attempted": attempted, "failed": failed} for _ in range(10)]
+
+
+class TestOutcomes:
+    def test_equal_failed_shares_raise_no_flag(self):
+        # 4 of 54 per run on one side, 8 of 108 on the other: the same share
+        out = bench_pairs.outcomes({"parent": _runs(4), "change": _runs(8, attempted=108)})
+        assert out["parent"] == {"failed_share": pytest.approx(4 / 54), "correct": True}
+        assert out["change"]["failed_share"] == out["parent"]["failed_share"]
+        assert out["flags"] == []
+
+    def test_a_larger_failed_share_of_the_change_is_flagged(self):
+        runs = {"parent": _runs(4), "change": _runs(4)}
+        runs["change"][3] = {"correct": True, "attempted": 54, "failed": 5}
+        assert bench_pairs.outcomes(runs)["flags"] == [
+            "the change fails a larger share of operations than the parent"]
+        # fewer failures in the change are no flag
+        assert bench_pairs.outcomes({"parent": runs["change"], "change": _runs(4)})["flags"] == []
+
+    def test_an_incorrect_run_of_either_side_is_flagged(self):
+        runs = {"parent": _runs(0), "change": _runs(0)}
+        runs["parent"][9] = {"correct": False, "attempted": 54, "failed": 0}
+        out = bench_pairs.outcomes(runs)
+        assert out["parent"]["correct"] is False and out["change"]["correct"] is True
+        assert out["flags"] == ["a parent run is incorrect"]
+
+    def test_no_operations_attempted(self):
+        out = bench_pairs.outcomes({"parent": _runs(0, attempted=0), "change": _runs(0, attempted=0)})
+        assert out["parent"]["failed_share"] == out["change"]["failed_share"] == 0.0
+        assert out["flags"] == []

@@ -2,11 +2,13 @@
 start-up imports, unclosed files and documented exit codes."""
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lbinorm
 from lbinorm.cli import main
@@ -25,6 +27,27 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     proc = _python(["-c", "import sys, lbinorm.cli; print('scipy.stats' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _minor_faults(script):
+    """Minor page faults of a fresh interpreter that runs ``script``."""
+    proc = _python(["-c", script + "\nimport resource\n"
+                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)"])
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="mallopt and minor-fault counts are glibc/Linux measures")
+def test_calibration_keeps_its_chunk_pages(tmp_path):
+    # Without the CLI's allocator thresholds every chunk temporary of 256-512 KiB
+    # is unmapped when freed and faulted in again: ~27k faults more than the import.
+    argv = ["calibrate", "--test", "kurt", "--n", "2000", "--reps", "2000", "--seed", "1",
+            "--calibration-cache", str(tmp_path)]
+    ran = _minor_faults("import warnings; from lbinorm.cli import main\n"
+                        "warnings.simplefilter('ignore')\n"
+                        f"assert main({argv!r}) == 0")
+    assert ran - _minor_faults("import lbinorm.cli") < 5000
 
 
 def test_power_out_file_is_closed(tmp_path):

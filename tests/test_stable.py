@@ -1,15 +1,20 @@
 """Stable characteristic function, its alpha-derivative and the inverted score."""
 
 import math
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
+import lbinorm
 from lbinorm import stable
-from lbinorm.errors import AlphaOne
+from lbinorm.errors import AlphaOne, InversionUnconverged
 from lbinorm.stable import (
     InversionConfig,
     dcf_dalpha_at_2,
@@ -235,6 +240,80 @@ class TestMirroredInversion:
         monkeypatch.setattr(stable, "_inversion_values", recorded)
         score_stable(0.5, cfg)
         assert calls == [(2401, cfg.nodes), (2401, 2 * cfg.nodes)]
+
+
+class TestGridInversion:
+    """The tabulation grid's angle-addition sums against per-point sums."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -1.0])
+    def test_matches_per_point_sums(self, beta):
+        cfg = InversionConfig()
+        grid, _ = stable._score_grid(cfg)
+        for nodes in (cfg.nodes, 2 * cfg.nodes):
+            sums = stable._inversion_values(grid, beta, cfg, nodes)
+            # a copy is not the grid, so it takes the per-point sums
+            per_point = stable._inversion_values(grid.copy(), beta, cfg, nodes)
+            assert np.max(np.abs(sums - per_point)) <= 1e-14 * np.max(np.abs(per_point))
+
+    def test_odd_point_count(self):
+        # a grid whose |x| are the half-integer multiples of its step
+        cfg = InversionConfig(grid_step=0.03, grid_halfwidth=5.0)
+        grid, step = stable._score_grid(cfg)
+        assert grid.size % 2 == 0 and grid[grid.size // 2] == pytest.approx(step / 2)
+        sums = stable._inversion_values(grid, 0.5, cfg, cfg.nodes)
+        per_point = stable._inversion_values(grid.copy(), 0.5, cfg, cfg.nodes)
+        assert np.max(np.abs(sums - per_point)) <= 1e-14 * np.max(np.abs(per_point))
+
+    def test_grid_is_shared_and_read_only(self):
+        cfg = InversionConfig()
+        grid, step = stable._score_grid(cfg)
+        assert stable._score_grid(cfg)[0] is grid
+        assert grid.size == 2401 and step == pytest.approx(0.01)
+        np.testing.assert_array_equal(grid, -grid[::-1])
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 0.0
+
+    def test_unique_matches_numpy(self):
+        rng = np.random.default_rng(13)
+        for values in (rng.integers(-5, 5, 200).astype(float), rng.normal(size=50),
+                       np.array([2.0]), np.array([1.0, 1.0, 1.0])):
+            ref, ref_inverse = np.unique(values, return_inverse=True)
+            got, inverse = stable._unique(values)
+            np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(inverse, ref_inverse)
+
+    def test_stable_score_leaves_numpy_ma_unloaded(self):
+        src = str(Path(lbinorm.__file__).resolve().parents[1])
+        script = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                  "from lbinorm.stable import score_stable\n"
+                  "score = score_stable(0.5)\n"
+                  "score([0.1, -3.0, 13.0]); score.derivative([0.1, 20.0])\n"
+                  "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_unconverged_inversion_names_the_worst_point(self):
+        with pytest.raises(InversionUnconverged) as info:
+            score_stable(1.0)
+        msg = str(info.value)
+        assert msg.startswith("inversion changed by more than 1e-8 relative under node doubling; ")
+        x = float(re.search(r"worst at x = (\S+), where d\(x\) = \S+ moved by \S+ relative$", msg)[1])
+        assert -12.0 <= x <= -11.0
+
+    def test_a_nan_fails_the_node_doubling_check(self, monkeypatch):
+        inner = stable._inversion_values
+
+        def nan_when_doubled(x, beta, cfg, nodes):
+            out = inner(x, beta, cfg, nodes)
+            if nodes > cfg.nodes:
+                out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(stable, "_inversion_values", nan_when_doubled)
+        with pytest.raises(InversionUnconverged, match=r"worst at x = 0\.5, where d\(x\) = nan"):
+            stable_density_derivative(np.array([0.0, 0.5, 1.0]), 0.0)
 
 
 class TestPanelRule:

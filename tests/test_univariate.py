@@ -120,6 +120,32 @@ class TestLbiExact:
             lbi_exact(z, stable_score0, cfg)
 
 
+    def test_non_finite_hermite_rule_is_refused(self, stable_score0):
+        # the doubled rule would take numpy's 384-node Hermite rule, whose
+        # weights are NaN; the value used to come back NaN
+        z = standardize(np.random.default_rng(4).normal(size=20))
+        with pytest.raises(QuadratureUnconverged, match="384-node Gauss-Hermite rule is not finite"):
+            lbi_exact(z, stable_score0, QuadratureConfig(a_nodes=192))
+        with pytest.raises(QuadratureUnconverged, match="372-node"):
+            univariate._ab_rule(20, QuadratureConfig(a_nodes=372))
+        assert np.all(np.isfinite(univariate._ab_rule(20, QuadratureConfig(a_nodes=371))[1]))
+
+    def test_a_nan_fails_the_node_doubling_check(self, monkeypatch):
+        z = standardize(np.random.default_rng(4).normal(size=8))
+        inner = univariate.exact_kernel
+
+        def nan_when_doubled(score, n, cfg=None):
+            kernel = inner(score, n, cfg)
+            if cfg.a_nodes > 96:
+                return univariate.LbiKernel(kappa=np.full_like(kernel.kappa, np.nan),
+                                            score=score, nodes=kernel.nodes)
+            return kernel
+
+        monkeypatch.setattr(univariate, "exact_kernel", nan_when_doubled)
+        with pytest.raises(QuadratureUnconverged, match="to nan under node doubling"):
+            lbi_exact(z, score_hermite(4))
+
+
 class TestLbiClosedForm:
     def test_cubic_single_term(self):
         z = standardize(np.random.default_rng(3).normal(size=7))

@@ -22,9 +22,14 @@ change wins at least nine pairs in ten and its median is better than the
 parent's by more than the parent's interquartile range, ``worse`` when
 its median is worse than the parent's by more than the bound (a fraction
 of the parent's median), and ``flat`` otherwise.  Every run's
-correctness and failed share are kept too, and for each side the commit
-its checkout is at and whether its tree differs from that commit (both
-null where the directory is not the top of a git checkout).
+correctness and operation counts are kept too, and per workload each
+side's failed share (failed over attempted operations, summed over its
+runs) and whether all its runs were correct, with a flag for a workload
+where the change fails a larger share than the parent or any run is
+incorrect; flags are printed as well.  For each side, the commit its
+checkout is at and whether its tree differs from that commit are
+recorded (both null where the directory is not the top of a git
+checkout).
 """
 
 import argparse
@@ -102,6 +107,23 @@ def summarize(runs: dict, metrics: dict) -> dict:
     return out
 
 
+def outcomes(runs: dict) -> dict:
+    """Each side's failed share and whether all its runs were correct, and
+    the flags this workload raises (an empty list when it raises none)."""
+    out = {}
+    for side in SIDES:
+        attempted = sum(r["attempted"] for r in runs[side])
+        failed = sum(r["failed"] for r in runs[side])
+        out[side] = {"failed_share": failed / attempted if attempted else 0.0,
+                     "correct": all(r["correct"] for r in runs[side])}
+    flags = []
+    if out["change"]["failed_share"] > out["parent"]["failed_share"]:
+        flags.append("the change fails a larger share of operations than the parent")
+    flags += [f"a {side} run is incorrect" for side in SIDES if not out[side]["correct"]]
+    out["flags"] = flags
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -130,8 +152,11 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "runs": {side: [{k: r[k] for k in ("correct", "attempted", "failed")}
                             for r in runs[side]] for side in SIDES},
+            "outcomes": outcomes(runs),
             "metrics": summarize(runs, metrics),
         }
+        for flag in report["workloads"][workload]["outcomes"]["flags"]:
+            print(f"{workload} FLAG: {flag}", flush=True)
         for metric, m in report["workloads"][workload]["metrics"].items():
             print(f"{workload} {metric}: {m['parent_median']:.4g} -> {m['change_median']:.4g}, "
                   f"{m['change_wins']}/{PAIRS} wins, {m['verdict']}", flush=True)
