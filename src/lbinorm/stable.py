@@ -16,7 +16,7 @@ evaluated by composite Gauss-Legendre panels: geometric refinement
 toward t = 0 (integrable log singularity of the derivative) and
 per-period splitting of the oscillatory factor for large |x|.
 
-The score is tabulated once per process on a uniform grid.  There the
+The score is tabulated on a uniform grid when it is built.  There the
 points of one panel size form an arithmetic progression, and the node
 sums are taken by angle addition as matrix products (``_progression_values``):
 cosines and sines of ~2 sqrt(k) phase rows for k points instead of k, which

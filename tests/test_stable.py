@@ -255,7 +255,7 @@ class TestGridInversion:
             per_point = stable._inversion_values(grid.copy(), beta, cfg, nodes)
             assert np.max(np.abs(sums - per_point)) <= 1e-14 * np.max(np.abs(per_point))
 
-    def test_odd_point_count(self):
+    def test_grid_of_an_even_point_count(self):
         # a grid whose |x| are the half-integer multiples of its step
         cfg = InversionConfig(grid_step=0.03, grid_halfwidth=5.0)
         grid, step = stable._score_grid(cfg)
