@@ -6,6 +6,8 @@ depend on how blocks would be scheduled across workers.  Calibrations
 can be cached to disk in a small versioned binary format.
 """
 
+from __future__ import annotations
+
 import functools
 import hashlib
 import math
@@ -14,25 +16,19 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .core import BLOCK_SIZE, block_substreams, power_sums, standardize
 from .errors import IncompatibleSelection, ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
-from .scores import ScoreFunction
-# lbi_exact and lbi_monte_carlo are no longer called here but stay importable
-# from this module: perfbench's tracer wraps them under these names
-from .univariate import (  # noqa: F401
-    QuadratureConfig,
-    closed_form_kernel,
-    exact_kernel,
-    lbi_exact,
-    lbi_monte_carlo,
-    mc_kernel,
-    profile_likelihood_statistic,
-)
+
+# ``univariate`` (and with it ``scores`` and ``numpy.polynomial``) loads only
+# when a score-based statistic is built: skew, kurt and mvn run without it.
+if TYPE_CHECKING:
+    from .scores import ScoreFunction
+    from .univariate import QuadratureConfig
 
 __all__ = [
     "StatisticSpec",
@@ -41,6 +37,7 @@ __all__ = [
     "make_statistic",
     "calibrate_null",
     "p_value",
+    "check_alternative",
     "sample_alternative",
     "power_curve",
     "save_calibration",
@@ -141,6 +138,7 @@ def _row_chunks(rows: int, row_values: int) -> list:
 
 def closed_form_weights(coeffs: np.ndarray, n: int) -> dict:
     """Weight per moment order of the explicit polynomial-score statistic."""
+    from .univariate import closed_form_kernel
     kappa = closed_form_kernel(coeffs, n).kappa
     return {order: n * k for order, k in enumerate(kappa) if k != 0.0}
 
@@ -190,6 +188,8 @@ def make_statistic(
                              _of_residuals(stat_gl if group == "gl" else stat_lt, multivariate=True))
     if score is None:
         raise ValueError(f"statistic '{name}' needs a score")
+    from .univariate import (QuadratureConfig, closed_form_kernel, exact_kernel, mc_kernel,
+                             profile_likelihood_statistic)
     label = f"{name}({score.family_label})"
     # the score's own settings, and those of the node set of a smoothed form
     settings = {
@@ -424,19 +424,14 @@ def _sample_gig(p: float, b: float, size, rng) -> np.ndarray:
     return 1 / x if invert else x
 
 
-def sample_alternative(spec: AlternativeSpec, n: int, rng, size=None) -> np.ndarray:
-    """Draw i.i.d. observations from the named alternative family.
-
-    Returns n draws, or an array of the given ``size`` (e.g. a
-    (reps, n) batch).  shape = 0 returns exact draws from the null
-    boundary (standard normal, or N(0,2) for the stable family).
-    ``gh-variance-mean`` is beta (Y - 1) + sqrt(Y) N(0, 1) with Y
-    generalized inverse Gaussian (index lam, b = 1/shape), drawn by
-    Hörmann & Leydold, "Generating generalized inverse Gaussian random
-    variates", Stat. Comput. 24 (2014) (``_sample_gig``).
-    """
-    size = n if size is None else size
+def check_alternative(spec: AlternativeSpec) -> None:
+    """Raise UnsupportedShape unless ``sample_alternative`` can draw from
+    ``spec``: a known family, a finite shape >= 0 and, per family, a stable
+    index alpha = 2 - shape in (0, 2] other than 1 with |beta| <= 1, or a
+    variance-mean mixture inside its validated envelope."""
     theta = spec.shape
+    if not math.isfinite(theta):
+        raise UnsupportedShape(f"shape must be finite, not {theta}")
     if theta < 0.0:
         raise UnsupportedShape("shape must be >= 0")
     fam = spec.family
@@ -448,7 +443,30 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng, size=None) -> np.ndar
             raise UnsupportedShape(f"alpha = {alpha} outside the validated range")
         if abs(spec.beta) > 1.0:
             raise UnsupportedShape("|beta| must be <= 1")
-        return _sample_stable_m(alpha, spec.beta, size, rng)
+    elif fam == "gh-variance-mean" and theta != 0.0:
+        if not -20.0 <= spec.lam <= 20.0:
+            raise UnsupportedShape("mixing index lam outside [-20, 20]")
+        if not 0.0 < 1.0 / theta <= 1e3:
+            raise UnsupportedShape("shape outside the validated mixing envelope")
+
+
+def sample_alternative(spec: AlternativeSpec, n: int, rng, size=None) -> np.ndarray:
+    """Draw i.i.d. observations from the named alternative family.
+
+    Returns n draws, or an array of the given ``size`` (e.g. a
+    (reps, n) batch).  shape = 0 returns exact draws from the null
+    boundary (standard normal, or N(0,2) for the stable family).
+    ``gh-variance-mean`` is beta (Y - 1) + sqrt(Y) N(0, 1) with Y
+    generalized inverse Gaussian (index lam, b = 1/shape), drawn by
+    Hörmann & Leydold, "Generating generalized inverse Gaussian random
+    variates", Stat. Comput. 24 (2014) (``_sample_gig``).
+    """
+    check_alternative(spec)
+    size = n if size is None else size
+    theta = spec.shape
+    fam = spec.family
+    if fam == "stable":
+        return _sample_stable_m(2.0 - theta, spec.beta, size, rng)
     if theta == 0.0:
         return rng.standard_normal(size)
     m = 1.0 / theta
@@ -459,10 +477,6 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng, size=None) -> np.ndar
     if fam == "laplace":
         return (rng.gamma(m, 1.0, size=size) - rng.gamma(m, 1.0, size=size)) / math.sqrt(2.0 * m)
     # gh-variance-mean: m is delta*gamma of the symmetric mixing law
-    if not -20.0 <= spec.lam <= 20.0:
-        raise UnsupportedShape("mixing index lam outside [-20, 20]")
-    if not 0.0 < m <= 1e3:
-        raise UnsupportedShape("shape outside the validated mixing envelope")
     y = _sample_gig(spec.lam, m, size, rng)
     return -spec.beta + spec.beta * y + np.sqrt(y) * rng.standard_normal(size)
 
@@ -580,3 +594,12 @@ def load_calibration(path, statistic_label: str, fingerprint: str = "") -> NullC
         sorted_null_values=np.array(values),
         fingerprint=fingerprint,
     )
+
+
+def __getattr__(name: str):
+    # lbi_exact and lbi_monte_carlo are no longer called here but stay
+    # readable from this module: perfbench's tracer wraps them under these names
+    if name in ("lbi_exact", "lbi_monte_carlo"):
+        from . import univariate
+        return getattr(univariate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

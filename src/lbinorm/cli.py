@@ -1,17 +1,24 @@
 """Command-line front end: CSV in, JSON report or CSV power table out.
 
 Exit codes: 0 success, 2 input error, 3 numerical non-convergence.
+
+A process loads only what its command runs: ``scores`` when a score is
+parsed, ``stable`` for a ``stable:`` score, ``univariate`` (through
+``calibration``) for a score-based statistic.
 """
+
+from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
 import ctypes
+import gc
 import json
 import math
-import secrets
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,15 +32,10 @@ from .errors import (
     QuadratureUnconverged,
     ScoreOverflow,
 )
-from .scores import (
-    ScoreFunction,
-    builtin_contaminations,
-    score_contamination,
-    score_gh_limit,
-    score_hermite,
-    score_infinitely_divisible,
-)
-from .stable import InversionConfig, score_stable
+
+if TYPE_CHECKING:
+    from .scores import ScoreFunction
+    from .stable import InversionConfig
 
 _NUMERICAL_ERRORS = (
     QuadratureUnconverged,
@@ -53,12 +55,22 @@ _METHODS = {
 }
 
 
+def __getattr__(name: str):
+    # stable.py loads on the first read of score_stable, so only for a stable: score
+    if name == "score_stable":
+        from .stable import score_stable
+        return score_stable
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> ScoreFunction:
     """Resolve a score selection string.
 
     Forms: hermite:k, gh:beta=<v>, id:kappa3=<v>,kappa4=<v>,
     contam:<builtin-name>, stable:beta=<v>.
     """
+    from .scores import (builtin_contaminations, score_contamination, score_gh_limit,
+                         score_hermite, score_infinitely_divisible)
     kind, _, rest = spec.partition(":")
     try:
         if kind == "hermite":
@@ -82,7 +94,8 @@ def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> Scor
                 )
             return score_contamination(densities[rest], label=f"contam:{rest}")
         if kind == "stable":
-            return score_stable(float(kv.get("beta", 0.0)), inversion_cfg)
+            # read from the module, so that a replaced cli.score_stable is the one called
+            return sys.modules[__name__].score_stable(float(kv.get("beta", 0.0)), inversion_cfg)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed score string '{spec}'") from exc
     raise ValueError(f"unknown score kind '{kind}'")
@@ -127,16 +140,25 @@ def read_csv(path) -> np.ndarray:
 
 
 def _resolve_seed(args) -> int:
+    """The given seed, which a cache header stores in 64 bits, or a fresh one."""
     if args.seed is not None:
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must be in [0, 2**64), not {args.seed}")
         return args.seed
     if args.reproducible:
         raise ValueError("--reproducible requires --seed")
+    import secrets
     return secrets.randbits(32)
 
 
 def _build_statistic(args):
-    inv_cfg = InversionConfig(t_max=args.stable_tmax, nodes=args.stable_nodes)
-    score = parse_score(args.score, inv_cfg) if args.score else None
+    score = None
+    if args.score:
+        inv_cfg = None
+        if args.score.partition(":")[0] == "stable":
+            from .stable import InversionConfig
+            inv_cfg = InversionConfig(t_max=args.stable_tmax, nodes=args.stable_nodes)
+        score = parse_score(args.score, inv_cfg)
     if args.test in ("skew", "kurt", "mvn"):
         stat = cal_mod.make_statistic(args.test, group=args.group)
     else:
@@ -231,12 +253,15 @@ def run_power(args) -> list:
     _check_level(args.level)
     if args.power_reps < 1:
         raise ValueError("power reps must be >= 1")
+    shapes = [float(s) for s in args.shapes.split(",")]
+    for shape in shapes:
+        cal_mod.check_alternative(
+            cal_mod.AlternativeSpec(family=args.family, shape=shape, beta=args.family_beta))
     seed = _resolve_seed(args)
     stat, _ = _build_statistic(args)
     cal, _ = _get_calibration(
         stat, args.n, 1, args.reps, seed, args.calibration_cache
     )
-    shapes = [float(s) for s in args.shapes.split(",")]
     rows = cal_mod.power_curve(
         stat,
         args.family,
@@ -344,5 +369,19 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> None:
+    """Process entry of ``lbinorm`` and ``python -m lbinorm.cli``.
+
+    Freezes every object left once ``main`` returns: the interpreter's
+    shutdown then skips its final cycle-collection sweep over them (~20 ms
+    of numpy and lbinorm objects), which would reclaim nothing the ending
+    process needs.  Exit handlers and stream flushes run as usual.  Not
+    part of ``main``, which tests and embedding programs call in-process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

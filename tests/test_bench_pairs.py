@@ -2,6 +2,9 @@
 pairs of runs."""
 
 import importlib.util
+import json
+import os
+import platform
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,48 @@ class TestOutcomes:
         out = bench_pairs.outcomes({"parent": _runs(0, attempted=0), "change": _runs(0, attempted=0)})
         assert out["parent"]["failed_share"] == out["change"]["failed_share"] == 0.0
         assert out["flags"] == []
+
+
+class TestEnvironment:
+    def test_records_what_start_up_times_depend_on(self, monkeypatch):
+        import numpy
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = bench_pairs.environment()
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == numpy.__version__
+        assert env["dont_write_bytecode"] is True
+        assert env["cpu_count"] == os.cpu_count()
+        assert 1 <= env["cpus_usable"] <= env["cpu_count"]
+        assert env["thread_vars"] == {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": None,
+                                      "MKL_NUM_THREADS": None}
+        json.dumps(env)
+
+    @pytest.mark.parametrize("value, off", [(None, False), ("", False), ("1", True), ("0", True)])
+    def test_bytecode_flag_follows_python_rule(self, monkeypatch, value, off):
+        # Python turns bytecode writing off for any non-empty value, "0" too
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert bench_pairs.environment()["dont_write_bytecode"] is off
+
+    def test_the_report_carries_it(self, tmp_path, monkeypatch):
+        spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                "end_to_end": [{"name": "t_s", "better": "lower", "bound": 0.25}]}
+        for side in bench_pairs.SIDES:
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+        def run_once(checkout, workload, seed, seconds):
+            return {"correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {"t_s": {"value": 1.0 + seed / 100, "unit": "s"}}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.chdir(tmp_path)
+        assert bench_pairs.main(["--parent", "parent", "--change", "change", "--pr", "0"]) == 0
+        report = json.loads((tmp_path / "BENCH_0.json").read_text())
+        assert report["environment"] == bench_pairs.environment()
+        assert report["workloads"]["w"]["metrics"]["t_s"]["change_wins"] == 0

@@ -18,6 +18,7 @@ from lbinorm.calibration import (
     _sample_gig,
     cache_path,
     calibrate_null,
+    check_alternative,
     closed_form_weights,
     load_calibration,
     make_statistic,
@@ -199,6 +200,21 @@ class TestSampleAlternative:
             sample_alternative(AlternativeSpec("gh-variance-mean", 0.1, lam=50.0), 5, rng)
         with pytest.raises(UnsupportedShape):
             sample_alternative(AlternativeSpec("no-such-family", 0.1), 5, rng)
+
+    @pytest.mark.parametrize("shape", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", AlternativeSpec.FAMILIES)
+    def test_non_finite_shape_is_refused(self, family, shape):
+        with pytest.raises(UnsupportedShape, match="shape must be finite"):
+            check_alternative(AlternativeSpec(family, shape))
+        with pytest.raises(UnsupportedShape, match="shape must be finite"):
+            sample_alternative(AlternativeSpec(family, shape), 5, np.random.default_rng(12))
+
+    def test_check_accepts_what_the_sampler_draws(self):
+        for spec in (AlternativeSpec("stable", 0.0, beta=1.0), AlternativeSpec("stable", 1.9),
+                     AlternativeSpec("gh-variance-mean", 0.0, lam=50.0),
+                     AlternativeSpec("gh-variance-mean", 1e-3), AlternativeSpec("student-t", 3.0)):
+            assert check_alternative(spec) is None
+            assert np.all(np.isfinite(sample_alternative(spec, 5, np.random.default_rng(13))))
 
 
 class TestGigSampler:

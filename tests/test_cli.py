@@ -326,3 +326,55 @@ class TestBadInput:
         cache_path(cache, "kurt", 20, 1, 1000, 1).write_bytes(b"LBICAL1")
         code, err = self._run(uni_csv, capsys, "--calibration-cache", str(cache))
         assert code == 2 and "shorter than its 48-byte header" in err
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(2**70), "-1"])
+    @pytest.mark.parametrize("command", ["calibrate", "test", "power"])
+    def test_seed_outside_64_bits_is_refused_at_once(self, uni_csv, tmp_path, capsys, command, seed):
+        # a cache header keeps the seed in 64 bits: 2**64 used to crash in
+        # struct.pack after the whole null was built, -1 to fail inside numpy
+        cache = tmp_path / "pc"
+        cache.mkdir()
+        what = {"calibrate": ["--n", "20"], "test": ["--input", str(uni_csv)],
+                "power": ["--n", "20", "--family", "laplace", "--shapes", "0.2"]}[command]
+        code = main([command, "--test", "kurt", *what, "--reps", "1000", "--seed", seed,
+                     "--calibration-cache", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --seed must be in [0, 2**64), not {seed}\n"
+        assert not list(cache.iterdir())
+
+    def test_largest_64_bit_seed_is_cached(self, tmp_path, capsys):
+        cache = tmp_path / "pc"
+        assert main(["calibrate", "--test", "kurt", "--n", "20", "--reps", "1000",
+                     "--seed", str(2**64 - 1), "--calibration-cache", str(cache)]) == 0
+        (built,) = cache.glob("*.lbical")
+        assert built.name.endswith(f"_s{2**64 - 1}.lbical")
+
+    @pytest.mark.parametrize("family, shapes, message", [
+        ("stable", "0,1", "alpha = 1.0 outside the validated range"),
+        ("stable", "0.5,2.5", "alpha = -0.5 outside the validated range"),
+        ("student-t", "0,nan", "shape must be finite, not nan"),
+        ("student-t", "0,inf", "shape must be finite, not inf"),
+        ("laplace", "0.2,-0.1", "shape must be >= 0"),
+        ("gh-variance-mean", "0.1,1e-4", "shape outside the validated mixing envelope"),
+        ("laplace", "0.2,x", "could not convert string to float: 'x'"),
+    ])
+    def test_power_refuses_a_bad_shape_before_building_the_null(self, tmp_path, capsys,
+                                                                family, shapes, message):
+        cache = tmp_path / "pc"
+        cache.mkdir()
+        code = main(["power", "--test", "kurt", "--n", "20", "--family", family, "--shapes", shapes,
+                     "--reps", "1000", "--seed", "1", "--calibration-cache", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not list(cache.iterdir())
+
+    def test_power_refuses_a_stable_beta_beyond_one_before_the_null(self, tmp_path, capsys):
+        cache = tmp_path / "pc"
+        cache.mkdir()
+        code = main(["power", "--test", "kurt", "--n", "20", "--family", "stable", "--shapes", "0.5",
+                     "--family-beta", "1.5", "--reps", "1000", "--seed", "1",
+                     "--calibration-cache", str(cache)])
+        assert code == 2 and capsys.readouterr().err == "error: |beta| must be <= 1\n"
+        assert not list(cache.iterdir())

@@ -1,6 +1,7 @@
 """CLI behaviour seen from a separate interpreter or at the process edge:
 start-up imports, unclosed files and documented exit codes."""
 
+import json
 import os
 import platform
 import subprocess
@@ -205,3 +206,150 @@ def test_non_finite_power_value_exits_3(capsys):
     assert captured.err.startswith("error: profile(contam:laplace-unit): ")
     assert captured.err.endswith(" of 100 statistic values at shape 0.8, n = 2000 are not finite\n")
     assert captured.err.count("\n") == 1
+
+
+_WATCHED = ("lbinorm.scores", "lbinorm.stable", "lbinorm.univariate", "numpy.polynomial")
+
+
+def _loaded_by(argv):
+    """Exit code of ``python -m lbinorm.cli <argv>``, run through runpy in a fresh
+    interpreter, and which of the ``_WATCHED`` modules it loaded."""
+    script = ("import json, runpy, sys, warnings\n"
+              "warnings.simplefilter('ignore')\n"
+              f"sys.argv = ['lbinorm'] + {argv!r}\n"
+              "try:\n"
+              "    runpy.run_module('lbinorm.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
+              f"print(json.dumps([code, sorted(m for m in {_WATCHED!r} if m in sys.modules)]))")
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    return code, loaded
+
+
+@pytest.fixture
+def samples(tmp_path):
+    rng = np.random.default_rng(9)
+    uni, multi = tmp_path / "u.csv", tmp_path / "m.csv"
+    np.savetxt(uni, rng.standard_normal(15), delimiter=",")
+    np.savetxt(multi, rng.standard_normal((15, 3)), delimiter=",")
+    return uni, multi
+
+
+def test_moment_test_loads_no_score_or_quadrature_module(samples, tmp_path):
+    uni, _ = samples
+    assert _loaded_by(["test", "--test", "kurt", "--input", str(uni), "--seed", "1",
+                       "--reps", "1000", "--calibration-cache", str(tmp_path)]) == (0, [])
+    assert list(tmp_path.glob("*.lbical"))
+
+
+def test_mvn_commands_load_no_score_module(samples, tmp_path):
+    _, multi = samples
+    common = ["--test", "mvn", "--group", "gl", "--seed", "1", "--reps", "1000"]
+    for argv in (["test", "--input", str(multi), *common, "--json", os.devnull],
+                 ["calibrate", "--p", "3", "--n", "15", *common,
+                  "--calibration-cache", str(tmp_path)]):
+        code, loaded = _loaded_by(argv)
+        assert code == 0
+        assert not {"lbinorm.scores", "lbinorm.stable", "lbinorm.univariate"} & set(loaded)
+
+
+def test_polynomial_score_loads_no_stable_module(samples):
+    uni, _ = samples
+    code, loaded = _loaded_by(["test", "--test", "lbi-approx", "--score", "hermite:4",
+                               "--input", str(uni), "--seed", "1", "--reps", "1000",
+                               "--json", os.devnull])
+    assert code == 0 and "lbinorm.stable" not in loaded
+    assert {"lbinorm.scores", "lbinorm.univariate"} <= set(loaded)
+
+
+def test_stable_score_loads_the_stable_module(samples):
+    uni, _ = samples
+    code, loaded = _loaded_by(["test", "--test", "lbi-approx", "--score", "stable:beta=0",
+                               "--input", str(uni), "--seed", "1", "--reps", "1000",
+                               "--json", os.devnull])
+    assert code == 0 and "lbinorm.stable" in loaded
+
+
+def test_inversion_settings_are_checked_for_a_stable_score(samples, capsys):
+    uni, _ = samples
+    argv = ["test", "--input", str(uni), "--seed", "1", "--reps", "1000",
+            "--stable-tmax", "4", "--json", os.devnull]
+    assert main([*argv, "--test", "lbi-approx", "--score", "stable:beta=0"]) == 2
+    assert capsys.readouterr().err == "error: t_max must be >= 8\n"
+
+
+def test_every_public_name_resolves_and_is_listed():
+    script = ("import lbinorm, sys\n"
+              "print(sorted(m for m in sys.modules if m.startswith('lbinorm.')))\n"
+              "missing = [n for n in lbinorm.__all__ if getattr(lbinorm, n, None) is None]\n"
+              "print(missing, sorted(set(lbinorm.__all__) - set(dir(lbinorm))), "
+              "len(lbinorm.__all__), lbinorm.__version__)")
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.strip().splitlines()
+    assert before == "[]"  # the package alone imports none of its modules
+    assert after == "[] [] 39 0.1.0"
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lbinorm.no_such_name  # noqa: B018
+
+
+def test_layer_names_resolve_on_their_modules():
+    # names that an outside tracer reads and replaces on these two modules
+    script = ("import lbinorm.cli as cli\n"
+              "from lbinorm import calibration as cal\n"
+              "from lbinorm import multivariate, stable, univariate\n"
+              "print(cli.score_stable is stable.score_stable,"
+              " cal.lbi_exact is univariate.lbi_exact,"
+              " cal.lbi_monte_carlo is univariate.lbi_monte_carlo,"
+              " cal.whiten is multivariate.whiten,"
+              " cal.stat_gl is multivariate.stat_gl,"
+              " cal.stat_lt is multivariate.stat_lt)")
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * 6
+
+
+def test_layers_are_called_through_the_module_globals(monkeypatch):
+    from lbinorm import calibration, cli
+
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(cli, "score_stable", spy("score_stable", cli.score_stable), raising=False)
+    for name in ("whiten", "stat_gl", "stat_lt"):
+        monkeypatch.setattr(calibration, name, spy(name, getattr(calibration, name)))
+    cli.parse_score("stable:beta=0")
+    x = np.random.default_rng(10).standard_normal((2, 12, 3))
+    calibration.make_statistic("mvn", group="gl").compute_batch(x)
+    calibration.make_statistic("mvn", group="lt").compute_batch(x)
+    assert calls == ["score_stable", "whiten", "stat_gl", "whiten", "stat_lt"]
+
+
+def test_process_entry_exits_with_main_code_after_freezing():
+    script = ("import gc, lbinorm.cli as cli\n"
+              "cli.main = lambda: 3\n"
+              "try:\n"
+              "    cli.entry()\n"
+              "except SystemExit as exc:\n"
+              "    print(exc.code, gc.get_freeze_count() > 0)")
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "True"]
+
+
+def test_module_run_writes_the_whole_report(samples):
+    uni, _ = samples
+    proc = _python(["-W", "ignore", "-m", "lbinorm.cli", "test", "--test", "kurt",
+                    "--input", str(uni), "--seed", "1", "--reps", "1000"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["statistic_label"] == "kurt"

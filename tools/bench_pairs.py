@@ -29,11 +29,18 @@ where the change fails a larger share than the parent or any run is
 incorrect; flags are printed as well.  For each side, the commit its
 checkout is at and whether its tree differs from that commit are
 recorded (both null where the directory is not the top of a git
-checkout).
+checkout).  So is the environment the runs inherit: the Python and
+numpy versions, whether bytecode writing is off, the CPU counts and the
+BLAS/OpenMP thread variables.  With bytecode writing off, every process
+compiles the program's sources again, which alone moves each CLI
+process's start-up by ~30 ms.
 """
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -41,6 +48,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -67,6 +75,25 @@ def checkout_state(checkout: Path) -> dict:
         return {"commit": None, "dirty": None}
     return {"commit": git("rev-parse", "HEAD").stdout.strip(),
             "dirty": bool(git("status", "--porcelain").stdout.strip())}
+
+
+def environment() -> dict:
+    """What start-up times depend on, as the benchmarked processes inherit it
+    from this one (``perfbench`` sets each thread variable to 1 in its own
+    children; unset variables are recorded as null)."""
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
+    affinity = getattr(os, "sched_getaffinity", None)
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+        "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+        "cpu_count": os.cpu_count(),
+        "cpus_usable": len(affinity(0)) if affinity else None,
+        "thread_vars": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
 
 
 def verdict(parent_median: float, change_median: float, iqr: float, wins: int,
@@ -136,7 +163,7 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seconds = float(spec["run_seconds"])
 
-    report = {"pr": args.pr, "seconds": seconds,
+    report = {"pr": args.pr, "seconds": seconds, "environment": environment(),
               "checkouts": {side: checkout_state(checkouts[side]) for side in SIDES},
               "workloads": {}}
     for workload in (w["name"] for w in spec["workloads"]):
