@@ -428,7 +428,7 @@ def check_alternative(spec: AlternativeSpec) -> None:
     """Raise UnsupportedShape unless ``sample_alternative`` can draw from
     ``spec``: a known family, a finite shape >= 0 and, per family, a stable
     index alpha = 2 - shape in (0, 2] other than 1 with |beta| <= 1, or a
-    variance-mean mixture inside its validated envelope."""
+    variance-mean mixture with a finite beta inside its validated envelope."""
     theta = spec.shape
     if not math.isfinite(theta):
         raise UnsupportedShape(f"shape must be finite, not {theta}")
@@ -441,9 +441,11 @@ def check_alternative(spec: AlternativeSpec) -> None:
         alpha = 2.0 - theta
         if not 0.0 < alpha <= 2.0 or alpha == 1.0:
             raise UnsupportedShape(f"alpha = {alpha} outside the validated range")
-        if abs(spec.beta) > 1.0:
+        if not abs(spec.beta) <= 1.0:
             raise UnsupportedShape("|beta| must be <= 1")
     elif fam == "gh-variance-mean" and theta != 0.0:
+        if not math.isfinite(spec.beta):
+            raise UnsupportedShape(f"beta must be finite, not {spec.beta}")
         if not -20.0 <= spec.lam <= 20.0:
             raise UnsupportedShape("mixing index lam outside [-20, 20]")
         if not 0.0 < 1.0 / theta <= 1e3:

@@ -370,11 +370,19 @@ class TestBadInput:
         assert captured.err == f"error: {message}\n"
         assert not list(cache.iterdir())
 
-    def test_power_refuses_a_stable_beta_beyond_one_before_the_null(self, tmp_path, capsys):
+    @pytest.mark.parametrize("family, beta, message", [
+        ("stable", "1.5", "|beta| must be <= 1"),
+        ("stable", "nan", "|beta| must be <= 1"),
+        ("gh-variance-mean", "inf", "beta must be finite, not inf"),
+    ])
+    def test_power_refuses_a_bad_family_beta_before_the_null(self, tmp_path, capsys,
+                                                             family, beta, message):
+        # a NaN beta used to pass and fail after the null was cached, as
+        # "sample contains non-finite values"
         cache = tmp_path / "pc"
         cache.mkdir()
-        code = main(["power", "--test", "kurt", "--n", "20", "--family", "stable", "--shapes", "0.5",
-                     "--family-beta", "1.5", "--reps", "1000", "--seed", "1",
+        code = main(["power", "--test", "kurt", "--n", "20", "--family", family, "--shapes", "0.5",
+                     "--family-beta", beta, "--reps", "1000", "--seed", "1",
                      "--calibration-cache", str(cache)])
-        assert code == 2 and capsys.readouterr().err == "error: |beta| must be <= 1\n"
+        assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
         assert not list(cache.iterdir())
