@@ -1,9 +1,10 @@
 """Monte-Carlo null calibration, p-values, alternative samplers and power.
 
-Replications are drawn in fixed-size blocks with substreams keyed by
-(seed, block index), so a calibration is bit-reproducible and does not
-depend on how blocks would be scheduled across workers.  Calibrations
-can be cached to disk in a small versioned binary format.
+Replications are drawn by ``core.replications``, in fixed-size blocks with
+substreams keyed by (seed, block index), so a calibration is
+bit-reproducible and does not depend on how blocks would be scheduled
+across workers.  Calibrations can be cached to disk in a small versioned
+binary format.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BLOCK_SIZE, block_substreams, power_sums, standardize
+from .core import power_sums, replications, row_chunks, standardize
+# still importable from here under their old names
+from .core import BLOCK_SIZE, CHUNK, row_chunks as _row_chunks  # noqa: F401
 from .errors import IncompatibleSelection, ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 
@@ -45,10 +48,6 @@ __all__ = [
     "cache_path",
 ]
 
-# At most this many values per array that a calibration or power run draws
-# and evaluates at once (one row at the least), so every temporary of the
-# samplers and statistics stays small however large n and reps are.
-CHUNK = 2**15
 _MAGIC = b"LBICAL1"
 _VERSION = 2
 _HEADER = "<7sB16sIIQQ"
@@ -122,20 +121,6 @@ class NullCalibration:
         )
 
 
-def _row_chunks(rows: int, row_values: int) -> list:
-    """Row counts of the fewest chunks of at most ``CHUNK`` values (one row
-    at the least) that ``rows`` rows of ``row_values`` values split into,
-    as equal as can be.
-
-    Equal chunks keep every chunk of a split block above ~CHUNK/2 values,
-    so none falls to a kernel's direct-sum path for small calls
-    (``univariate.TABLE_POINTS``), whose values differ in the last bits.
-    """
-    per = max(1, CHUNK // max(1, row_values))
-    k = -(-rows // per)
-    return [rows // k + (i < rows % k) for i in range(k)]
-
-
 def closed_form_weights(coeffs: np.ndarray, n: int) -> dict:
     """Weight per moment order of the explicit polynomial-score statistic."""
     from .univariate import closed_form_kernel
@@ -146,7 +131,7 @@ def closed_form_weights(coeffs: np.ndarray, n: int) -> dict:
 def _of_residuals(residual_fn: Callable, multivariate: bool = False) -> Callable:
     """compute_batch of a statistic of the residuals, the only evaluation path:
     every test is invariant under location and scale (or the GL/LT group), so
-    each ``_row_chunks`` chunk of a raw batch is standardized (univariate) or
+    each ``row_chunks`` chunk of a raw batch is standardized (univariate) or
     whitened (mvn) and ``residual_fn`` maps it to one value per sample."""
 
     def compute(x):
@@ -155,7 +140,7 @@ def _of_residuals(residual_fn: Callable, multivariate: bool = False) -> Callable
             raise ValueError("expected an n x p matrix")
         out = np.empty(x.shape[0])
         lo = 0
-        for rows in _row_chunks(x.shape[0], math.prod(x.shape[1:])):
+        for rows in row_chunks(x.shape[0], math.prod(x.shape[1:])):
             chunk = x[lo:lo + rows]
             out[lo:lo + rows] = residual_fn(whiten(chunk) if multivariate else standardize(chunk))
             lo += rows
@@ -222,11 +207,11 @@ def calibrate_null(
     """Empirical null distribution from standard-normal replications.
 
     Deterministic for fixed (seed, statistic, n, p, reps); reps below
-    1e4 are accepted but flagged.  Each substream block is drawn and
-    evaluated chunk by chunk (``_row_chunks``); a generator fills an array
-    element by element, so the values are those of whole-block draws.  A non-finite
-    null value raises ScoreOverflow: the statistic failed to evaluate at
-    this n.  A null spread at rounding level raises IncompatibleSelection.
+    1e4 are accepted but flagged.  Each chunk of ``core.replications``
+    is drawn and evaluated at once; the values are those of whole-block
+    draws.  A non-finite null value raises ScoreOverflow: the statistic
+    failed to evaluate at this n.  A null spread at rounding level raises
+    IncompatibleSelection.
     """
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
@@ -234,9 +219,8 @@ def calibrate_null(
         p = statistic.p
     shape = (n,) if p == 1 else (n, p)
     values = np.concatenate([
-        statistic.compute_batch(rng.standard_normal((rows, *shape)))
-        for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)
-        for rows in _row_chunks(m, n * p)
+        statistic.compute_batch(x)
+        for x in replications((seed,), reps, shape, lambda rng, size: rng.standard_normal(size))
     ])
     values.sort()
     cal = NullCalibration(
@@ -497,9 +481,10 @@ def power_curve(
     """Empirical rejection frequency over a grid of shape parameters.
 
     Returns one dict per grid point: shape, power and its binomial
-    standard error.  Draws use the same block-substream contract and the
-    same chunks as ``calibrate_null``.  A non-finite statistic value raises
-    ScoreOverflow: it failed to evaluate, and would count as an acceptance.
+    standard error.  Grid point i is drawn by ``core.replications`` keyed
+    by (seed, i), in the same chunks as ``calibrate_null``.  A non-finite
+    statistic value raises ScoreOverflow: it failed to evaluate, and would
+    count as an acceptance.
     """
     if reps < 1:
         raise ValueError("power reps must be >= 1")
@@ -512,11 +497,13 @@ def power_curve(
     for gi, shape in enumerate(shapes):
         spec = AlternativeSpec(family=family, shape=shape, beta=beta)
         rejected = bad = 0
-        for rng, m in block_substreams((seed, gi), reps, BLOCK_SIZE):
-            for rows in _row_chunks(m, n):
-                values = statistic.compute_batch(sample_alternative(spec, n, rng, size=(rows, n)))
-                rejected += np.count_nonzero(values > crit)
-                bad += np.count_nonzero(~np.isfinite(values))
+        # sample_alternative is looked up at each draw, so a wrapper set on
+        # the module (perfbench's tracer) sees every call
+        for x in replications((seed, gi), reps, (n,),
+                              lambda rng, size: sample_alternative(spec, n, rng, size=size)):
+            values = statistic.compute_batch(x)
+            rejected += np.count_nonzero(values > crit)
+            bad += np.count_nonzero(~np.isfinite(values))
         if bad:
             raise ScoreOverflow(f"{statistic.label}: {bad} of {reps} statistic values at "
                                 f"shape {shape}, n = {n} are not finite")

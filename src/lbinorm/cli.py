@@ -1,6 +1,7 @@
 """Command-line front end: CSV in, JSON report or CSV power table out.
 
-Exit codes: 0 success, 2 input error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 input error (any other LbinormError, ValueError or
+missing file), 3 numerical failure (``errors.NumericalError``).
 
 A process loads only what its command runs: ``scores`` when a score is
 parsed, ``stable`` for a ``stable:`` score, ``univariate`` (through
@@ -23,26 +24,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import calibration as cal_mod
-from .errors import (
-    IncompatibleSelection,
-    InversionUnconverged,
-    LbinormError,
-    NotSquareIntegrable,
-    ParseError,
-    QuadratureUnconverged,
-    ScoreOverflow,
-)
+from .errors import IncompatibleSelection, LbinormError, NumericalError, ParseError
 
 if TYPE_CHECKING:
     from .scores import ScoreFunction
     from .stable import InversionConfig
-
-_NUMERICAL_ERRORS = (
-    QuadratureUnconverged,
-    InversionUnconverged,
-    ScoreOverflow,
-    NotSquareIntegrable,
-)
 
 _METHODS = {
     "skew": "moment",
@@ -360,7 +346,7 @@ def main(argv=None) -> int:
             run_calibrate(args)
         elif args.command == "power":
             run_power(args)
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LbinormError, FileNotFoundError, ValueError) as exc:

@@ -1,6 +1,6 @@
-"""Sample standardization, standardized moments, Hermite polynomials, the
-uniform-grid cubic spline and the closed-form Gaussian constants used
-throughout the package.
+"""Sample standardization, standardized moments, the Monte-Carlo
+replication contract, Hermite polynomials, the uniform-grid cubic spline
+and the closed-form Gaussian constants used throughout the package.
 
 All functions are pure and accept scalars or numpy arrays where sensible.
 """
@@ -14,10 +14,13 @@ from .errors import DegenerateSample, ScoreOverflow
 
 __all__ = [
     "BLOCK_SIZE",
+    "CHUNK",
     "standardize",
     "standardized_moment",
     "power_sums",
     "block_substreams",
+    "row_chunks",
+    "replications",
     "central_difference",
     "not_a_knot_coefficients",
     "uniform_cubic",
@@ -103,6 +106,42 @@ def block_substreams(key, reps: int, block_size: int):
     """
     for i, start in enumerate(range(0, reps, block_size)):
         yield np.random.default_rng([*key, i]), min(block_size, reps - start)
+
+
+# At most this many values per array that a calibration or power run draws
+# and evaluates at once (one row at the least), so every temporary of the
+# samplers and statistics stays small however large n and reps are.
+CHUNK = 2**15
+
+
+def row_chunks(rows: int, row_values: int) -> list:
+    """Row counts of the fewest chunks of at most ``CHUNK`` values (one row
+    at the least) that ``rows`` rows of ``row_values`` values split into,
+    as equal as can be.
+
+    Equal chunks keep every chunk of a split block above ~CHUNK/2 values,
+    so none falls to a kernel's direct-sum path for small calls
+    (``univariate.TABLE_POINTS``), whose values differ in the last bits.
+    """
+    per = max(1, CHUNK // max(1, row_values))
+    k = -(-rows // per)
+    return [rows // k + (i < rows % k) for i in range(k)]
+
+
+def replications(key, reps: int, row_shape: tuple, draw):
+    """The draws of ``reps`` Monte-Carlo replications of shape ``row_shape``.
+
+    Yields ``draw(rng, (rows, *row_shape))`` for every chunk, in order:
+    block i of ``BLOCK_SIZE`` replications is drawn from
+    ``default_rng([*key, i])`` (``block_substreams``) in its ``row_chunks``,
+    one ``draw`` call each.  A numpy generator fills an array element by
+    element, so a draw that takes one array from the stream gives the
+    values of a whole-block draw.
+    """
+    row_values = math.prod(row_shape)
+    for rng, m in block_substreams(key, reps, BLOCK_SIZE):
+        for rows in row_chunks(m, row_values):
+            yield draw(rng, (rows, *row_shape))
 
 
 # Step of every central difference (``central_difference``).

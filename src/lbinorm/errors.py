@@ -5,6 +5,11 @@ class LbinormError(Exception):
     """Base class for all package-specific errors."""
 
 
+class NumericalError(LbinormError):
+    """A computation failed to give a finite, converged value (CLI exit 3);
+    every other LbinormError is a refused input or selection (exit 2)."""
+
+
 class DegenerateSample(LbinormError):
     """All observations equal; the standardized residuals are undefined."""
 
@@ -17,7 +22,7 @@ class InvalidDensity(LbinormError):
     """Supplied contamination density does not integrate to one."""
 
 
-class NotSquareIntegrable(LbinormError):
+class NotSquareIntegrable(NumericalError):
     """Score has no finite Gaussian second moment; projection is undefined."""
 
 
@@ -25,15 +30,15 @@ class AlphaOne(LbinormError):
     """The stable characteristic function formula excludes alpha = 1."""
 
 
-class InversionUnconverged(LbinormError):
+class InversionUnconverged(NumericalError):
     """Fourier inversion did not stabilize under node doubling."""
 
 
-class QuadratureUnconverged(LbinormError):
+class QuadratureUnconverged(NumericalError):
     """2-D quadrature did not stabilize under node doubling."""
 
 
-class ScoreOverflow(LbinormError):
+class ScoreOverflow(NumericalError):
     """Score evaluation produced a non-finite value inside the integrand."""
 
 

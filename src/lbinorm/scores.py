@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.hermite import hermgauss
 
 from .core import hermite_coefficients
 from .errors import BothCumulantsZero, InvalidDensity, NotSquareIntegrable
@@ -30,8 +30,6 @@ __all__ = [
 
 TAIL_POLYNOMIAL = "polynomial"
 TAIL_SUBGAUSSIAN_DOMINATING = "subgaussian-dominating"
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -65,14 +63,13 @@ class ScoreFunction:
         return self.evaluate(np.asarray(x, dtype=float))
 
 
-def _poly_score(coeffs, label, tail=TAIL_POLYNOMIAL) -> ScoreFunction:
+def _poly_score(coeffs, label) -> ScoreFunction:
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
     dc = np.polyder(c) if c.size > 1 else np.array([0.0])
     return ScoreFunction(
         evaluate=lambda x, _c=c: np.polyval(_c, x),
         family_label=label,
         polynomial_coeffs=tuple(c.tolist()),
-        tail_class=tail,
         derivative=lambda x, _d=dc: np.polyval(_d, x),
     )
 
@@ -140,7 +137,7 @@ def builtin_contaminations() -> dict:
     }
 
 
-def score_contamination(g: Callable, label: str = "contam", tail_class: str = TAIL_POLYNOMIAL) -> ScoreFunction:
+def score_contamination(g: Callable, label: str = "contam") -> ScoreFunction:
     """Score g(x)/phi(x) - 1 of an epsilon-contamination alternative.
 
     ``g`` must be a vectorized probability density; it is checked to be
@@ -159,13 +156,15 @@ def score_contamination(g: Callable, label: str = "contam", tail_class: str = TA
         x = np.asarray(x, dtype=float)
         return np.asarray(g(x)) / _normal_pdf(x) - 1.0
 
-    return ScoreFunction(evaluate=evaluate, family_label=label, tail_class=tail_class)
+    return ScoreFunction(evaluate=evaluate, family_label=label)
 
 
 def _gauss_hermite_moments(fn, nodes: int):
-    """E[fn(X)], E[fn(X) X], E[fn(X) (X^2-1)] for X ~ N(0,1) by quadrature."""
-    x, w = hermegauss(nodes)
-    w = w / _SQRT_2PI
+    """E[fn(X)], E[fn(X) X], E[fn(X) (X^2-1)] for X ~ N(0,1) by quadrature:
+    the Gauss-Hermite rule of weight exp(-u^2) after X = sqrt(2) u."""
+    u, wu = hermgauss(nodes)
+    x = math.sqrt(2.0) * u
+    w = wu / math.sqrt(math.pi)
     v = np.asarray(fn(x), dtype=float)
     return np.array([np.sum(w * v), np.sum(w * v * x), np.sum(w * v * (x * x - 1.0))])
 

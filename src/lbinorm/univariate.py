@@ -18,8 +18,8 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .core import (BLOCK_SIZE, block_substreams, central_difference, not_a_knot_coefficients,
-                   power_sums, standardized_moment, uniform_cubic)
+from .core import (central_difference, not_a_knot_coefficients, power_sums, replications,
+                   standardized_moment, uniform_cubic)
 from .errors import QuadratureUnconverged, ScoreOverflow
 from .scores import ScoreFunction
 
@@ -214,7 +214,8 @@ def _ab_rule(n: int, cfg: QuadratureConfig):
     a-integral: Gauss-Hermite after a = u*sqrt(2/n); b-integral:
     Gauss-Legendre on [0, 1 + 10/sqrt(n)] with the weight kept in the
     integrand.
-    Cached per (n, cfg); the returned arrays are read-only.  A Hermite rule
+    Cached per (n, cfg); the returned arrays are read-only, and a b weight
+    that overflows is NaN, without a warning.  A Hermite rule
     that is not finite (numpy 2.4's weights overflow from 372 nodes on)
     raises QuadratureUnconverged.
     """
@@ -227,7 +228,10 @@ def _ab_rule(n: int, cfg: QuadratureConfig):
     b_max = 1.0 + 10.0 / math.sqrt(n)
     x, wx = leggauss(cfg.b_nodes)
     b = 0.5 * b_max * (x + 1.0)
-    wb = 0.5 * b_max * wx * np.exp(-0.5 * n * b * b) * b ** (n - 2)
+    # unscaled, this weight is 0 * inf = NaN at large n (b ** (n - 2)
+    # overflows from n ~ 5700 on); the NaN then fails the null's check
+    with np.errstate(over="ignore", invalid="ignore"):
+        wb = 0.5 * b_max * wx * np.exp(-0.5 * n * b * b) * b ** (n - 2)
     for arr in (a, wa, b, wb):
         arr.setflags(write=False)
     return a, wa, b, wb
@@ -242,13 +246,16 @@ def exact_kernel(score: ScoreFunction, n: int, cfg: QuadratureConfig | None = No
 
 def mc_kernel(score: ScoreFunction, n: int, reps: int, seed: int) -> LbiKernel:
     """Kernel on ``reps`` draws of A ~ N(0, 1/n), B ~ chi_(n-1)/sqrt(n), each
-    weighted 1/reps, from substreams keyed by (seed, block index)."""
+    weighted 1/reps, drawn by ``core.replications`` keyed by (seed,): a block
+    of scalar rows is one chunk, so each block draws its A, then its B."""
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
-    draws = [(rng.normal(0.0, 1.0 / math.sqrt(n), size=m),
-              np.sqrt(rng.chisquare(n - 1, size=m)) / math.sqrt(n))
-             for rng, m in block_substreams((seed,), reps, BLOCK_SIZE)]
-    a, b = (np.concatenate(v) for v in zip(*draws))
+
+    def draw(rng, size):
+        return (rng.normal(0.0, 1.0 / math.sqrt(n), size=size),
+                np.sqrt(rng.chisquare(n - 1, size=size)) / math.sqrt(n))
+
+    a, b = (np.concatenate(v) for v in zip(*replications((seed,), reps, (), draw)))
     return _node_kernel(score, a, b, np.full(reps, 1.0 / reps), n)
 
 

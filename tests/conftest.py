@@ -1,10 +1,19 @@
 """Shared fixtures: expensive score constructions and small helpers."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from lbinorm.scores import ScoreFunction
 from lbinorm.stable import score_stable
+
+# pytest's ``pythonpath`` setting reaches only this process: a subprocess that
+# runs ``python -m lbinorm.cli`` finds the package through the environment.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def make_poly_score(coeffs, label="poly"):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: parsing, reports, exit codes, caching, power."""
 
 import csv
+import inspect
 import io
 import json
 from importlib import resources
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from lbinorm import calibration as cal_mod
+from lbinorm import cli, errors
 from lbinorm.calibration import cache_path
 from lbinorm.cli import main, parse_score, read_csv
 from lbinorm.errors import ParseError
@@ -386,3 +388,24 @@ class TestBadInput:
                      "--calibration-cache", str(cache)])
         assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
         assert not list(cache.iterdir())
+
+
+_ERROR_CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+                  if issubclass(cls, errors.LbinormError)]
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "run_test", fail)
+    code = main(["test", "--input", "unused.csv", "--test", "kurt", "--seed", "1"])
+    assert code == (3 if issubclass(error, errors.NumericalError) else 2)
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_numerical_errors_are_the_convergence_and_overflow_failures():
+    numerical = {cls.__name__ for cls in _ERROR_CLASSES if issubclass(cls, errors.NumericalError)}
+    assert numerical == {"NumericalError", "QuadratureUnconverged", "InversionUnconverged",
+                         "ScoreOverflow", "NotSquareIntegrable"}

@@ -8,10 +8,14 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.integrate import dblquad, quad
 
 from lbinorm.core import (
+    BLOCK_SIZE,
+    CHUNK,
     coefficient_c,
     hermite,
     hermite_coefficients,
     null_denominator_constant,
+    replications,
+    row_chunks,
     standardize,
     standardized_moment,
 )
@@ -181,3 +185,30 @@ class TestNullDenominatorConstant:
         for n in (496, 2000):
             with pytest.raises(ScoreOverflow):
                 null_denominator_constant(n)
+
+
+class TestReplications:
+    """Block i of BLOCK_SIZE rows comes from default_rng([*key, i]), drawn in
+    its row_chunks, one draw call per chunk, in order."""
+
+    @pytest.mark.parametrize("reps, row_shape", [
+        (25_000, (20,)), (10_000, ()), (2_500, (50, 5)), (12_000, (2000,)), (3, (40_000,))])
+    def test_chunks_of_each_block_from_its_substream(self, reps, row_shape):
+        key = (7, 2)
+        expected = []
+        for block, start in enumerate(range(0, reps, BLOCK_SIZE)):
+            m = min(BLOCK_SIZE, reps - start)
+            rng = np.random.default_rng([*key, block])
+            for rows in row_chunks(m, math.prod(row_shape)):
+                expected.append(rng.standard_normal((rows, *row_shape)))
+        got = list(replications(key, reps, row_shape, lambda rng, size: rng.standard_normal(size)))
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert g.size <= max(CHUNK, math.prod(row_shape))
+            np.testing.assert_array_equal(g, e)
+        assert sum(g.shape[0] for g in got) == reps
+
+    def test_scalar_rows_are_one_chunk_per_block(self):
+        sizes = [size for size in replications((3,), 25_000, (), lambda rng, size: size)]
+        assert sizes == [(10_000,), (10_000,), (5_000,)]

@@ -141,6 +141,20 @@ class TestBlockSubstreams:
                 rejected += int(np.sum(spec.compute_batch(x) > crit))
             assert rows[gi]["power"] == rejected / reps
 
+    @pytest.mark.parametrize("reps", [10_000, 25_000])
+    def test_mc_kernel_nodes_from_hand_drawn_blocks(self, reps):
+        n, seed = 20, 5
+        a, b = [], []
+        for block, start in enumerate(range(0, reps, BLOCK_SIZE)):
+            m = min(BLOCK_SIZE, reps - start)
+            rng = np.random.default_rng([seed, block])
+            a.append(rng.normal(0.0, 1.0 / math.sqrt(n), size=m))
+            b.append(np.sqrt(rng.chisquare(n - 1, size=m)) / math.sqrt(n))
+        nodes = mc_kernel(score_hermite(4), n, reps, seed).nodes
+        np.testing.assert_array_equal(nodes[0], np.concatenate(a))
+        np.testing.assert_array_equal(nodes[1], np.concatenate(b))
+        np.testing.assert_array_equal(nodes[2], np.full(reps, 1.0 / reps))
+
 
 def _direct_rows(kernel, z):
     """Row sums of K_n(z_i) by the direct node sum, and sum_i |K_n(z_i)| per

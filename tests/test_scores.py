@@ -9,6 +9,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from lbinorm.core import hermite_coefficients, standardize
 from lbinorm.errors import BothCumulantsZero, InvalidDensity, NotSquareIntegrable
 from lbinorm.scores import (
+    _gauss_hermite_moments,
     builtin_contaminations,
     orthogonalize,
     score_contamination,
@@ -174,6 +175,13 @@ class TestOrthogonalize:
         )
         x = np.linspace(-4.0, 4.0, 33)
         np.testing.assert_allclose(as_callable(x), as_poly(x), atol=1e-9)
+
+    def test_gaussian_moments_of_monomials(self):
+        # E[X^k], E[X^(k+1)], E[X^k (X^2 - 1)] for X ~ N(0, 1)
+        for k, expected in [(0, [1.0, 0.0, 0.0]), (2, [1.0, 0.0, 2.0]), (4, [3.0, 0.0, 12.0]),
+                            (3, [0.0, 3.0, 0.0])]:
+            got = _gauss_hermite_moments(lambda x, k=k: x**k, 64)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_stable_score_rejected(self, stable_score0):
         with pytest.raises(NotSquareIntegrable):

@@ -1,6 +1,7 @@
 """Univariate statistics: exact quadrature, closed form, Laplace, MC, profile."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,14 @@ class TestLbiExact:
         with pytest.raises(QuadratureUnconverged, match="372-node"):
             univariate._ab_rule(20, QuadratureConfig(a_nodes=372))
         assert np.all(np.isfinite(univariate._ab_rule(20, QuadratureConfig(a_nodes=371))[1]))
+
+    def test_rule_at_large_n_warns_nothing(self):
+        # b ** (n - 2) overflows at n = 10 000; numpy's two RuntimeWarnings
+        # used to print before the one-line error of the failed null
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, wa, b, wb = univariate._ab_rule.__wrapped__(10_000, QuadratureConfig())
+        assert np.all(np.isfinite(a)) and np.all(np.isfinite(wa)) and np.all(np.isfinite(b))
 
     def test_a_nan_fails_the_node_doubling_check(self, monkeypatch):
         z = standardize(np.random.default_rng(4).normal(size=8))
