@@ -214,8 +214,7 @@ def _ab_rule(n: int, cfg: QuadratureConfig):
     a-integral: Gauss-Hermite after a = u*sqrt(2/n); b-integral:
     Gauss-Legendre on [0, 1 + 10/sqrt(n)] with the weight kept in the
     integrand.
-    Cached per (n, cfg); the returned arrays are read-only, and a b weight
-    that overflows is NaN, without a warning.  A Hermite rule
+    Cached per (n, cfg); the returned arrays are read-only.  A Hermite rule
     that is not finite (numpy 2.4's weights overflow from 372 nodes on)
     raises QuadratureUnconverged.
     """

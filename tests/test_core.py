@@ -210,5 +210,5 @@ class TestReplications:
         assert sum(g.shape[0] for g in got) == reps
 
     def test_scalar_rows_are_one_chunk_per_block(self):
-        sizes = [size for size in replications((3,), 25_000, (), lambda rng, size: size)]
-        assert sizes == [(10_000,), (10_000,), (5_000,)]
+        sizes = replications((3,), 25_000, (), lambda rng, size: size)
+        assert list(sizes) == [(10_000,), (10_000,), (5_000,)]

@@ -136,7 +136,7 @@ class TestLbiExact:
         # used to print before the one-line error of the failed null
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            a, wa, b, wb = univariate._ab_rule.__wrapped__(10_000, QuadratureConfig())
+            a, wa, b, _ = univariate._ab_rule.__wrapped__(10_000, QuadratureConfig())
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(wa)) and np.all(np.isfinite(b))
 
     def test_a_nan_fails_the_node_doubling_check(self, monkeypatch):
