@@ -27,8 +27,6 @@ from .core import BLOCK_SIZE, CHUNK, row_chunks as _row_chunks  # noqa: F401
 from .errors import IncompatibleSelection, ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 
-# ``univariate`` (and with it ``scores`` and ``numpy.polynomial``) loads only
-# when a score-based statistic is built: skew, kurt and mvn run without it.
 if TYPE_CHECKING:
     from .scores import ScoreFunction
     from .univariate import QuadratureConfig
@@ -62,12 +60,14 @@ class StatisticSpec:
     statistic values.  Large values reject.  ``fingerprint`` is the
     canonical text of every setting beyond the label that changes those
     values; with the label it keys the statistic's calibration caches.
+    ``method`` names how the value is computed, as a report gives it.
     """
 
     label: str
     p: int
     compute_batch: Callable[[np.ndarray], np.ndarray]
     fingerprint: str = ""
+    method: str = ""
 
     def compute(self, sample: np.ndarray) -> float:
         sample = np.asarray(sample, dtype=float)
@@ -149,6 +149,28 @@ def _of_residuals(residual_fn: Callable, multivariate: bool = False) -> Callable
     return compute
 
 
+# The score-based LBI forms by name: the method a report gives; the form's
+# function of an (m, n) batch of standardized residuals, given the univariate
+# module, the score, n and make_statistic's settings; and the template of the
+# text of the settings its values depend on beyond the score's.
+LBI_FORMS = {
+    "lbi-exact": ("exact-quadrature",
+                  lambda u, score, n, quad_cfg, **_: u.exact_kernel(score, n, quad_cfg),
+                  "{quad_cfg!r}"),
+    "lbi-closed": ("closed-form",
+                   lambda u, score, n, **_: u.closed_form_kernel(score.polynomial_coeffs, n),
+                   ""),
+    "lbi-approx": ("laplace",
+                   lambda u, score, n, **_: lambda z: np.asarray(score(z)).sum(axis=1), ""),
+    "lbi-mc": ("monte-carlo",
+               lambda u, score, n, mc_reps, mc_seed, **_: u.mc_kernel(score, n, mc_reps, mc_seed),
+               "mc_reps={mc_reps},mc_seed={mc_seed}"),
+    "profile": ("profile",
+                lambda u, score, n, **_: functools.partial(u.profile_likelihood_statistic, h=score),
+                ""),
+}
+
+
 def make_statistic(
     name: str,
     score: Optional[ScoreFunction] = None,
@@ -159,46 +181,35 @@ def make_statistic(
 ) -> StatisticSpec:
     """Build a StatisticSpec for one of the named tests.
 
-    Univariate names: skew, kurt, lbi-exact, lbi-closed, lbi-approx,
-    lbi-mc, profile (the last five need ``score``).  Multivariate: mvn
-    with ``group`` in {gl, lt}.
+    Univariate names: skew, kurt and the ``LBI_FORMS`` (lbi-exact,
+    lbi-closed, lbi-approx, lbi-mc, profile), which need ``score``.
+    Multivariate: mvn with ``group`` in {gl, lt}.
     """
     if name in ("skew", "kurt"):
         k = 3 if name == "skew" else 4
-        return StatisticSpec(name, 1, _of_residuals(lambda z: power_sums(z, k)[:, k] / z.shape[1]))
+        return StatisticSpec(name, 1, _of_residuals(lambda z: power_sums(z, k)[:, k] / z.shape[1]),
+                             method="moment")
     if name == "mvn":
         if group not in ("gl", "lt"):
             raise ValueError("group must be 'gl' or 'lt'")
         return StatisticSpec(f"mvn-{group}", -1,
-                             _of_residuals(stat_gl if group == "gl" else stat_lt, multivariate=True))
+                             _of_residuals(stat_gl if group == "gl" else stat_lt, multivariate=True),
+                             method=f"mvn-{group}")
     if score is None:
         raise ValueError(f"statistic '{name}' needs a score")
-    from .univariate import (QuadratureConfig, closed_form_kernel, exact_kernel, mc_kernel,
-                             profile_likelihood_statistic)
-    label = f"{name}({score.family_label})"
-    # the score's own settings, and those of the node set of a smoothed form
-    settings = {
-        "lbi-exact": repr(quad_cfg or QuadratureConfig()),
-        "lbi-mc": f"mc_reps={mc_reps},mc_seed={mc_seed}",
-    }.get(name, "")
-    fingerprint = ";".join(filter(None, [score.fingerprint, settings]))
-    if name == "lbi-approx":
-        return StatisticSpec(label, 1, _of_residuals(lambda z: np.asarray(score(z)).sum(axis=1)),
-                             fingerprint)
-    if name == "profile":
-        return StatisticSpec(label, 1, _of_residuals(lambda z: profile_likelihood_statistic(z, score)),
-                             fingerprint)
-    kernels = {
-        "lbi-closed": lambda n: closed_form_kernel(score.polynomial_coeffs, n),
-        "lbi-exact": lambda n: exact_kernel(score, n, quad_cfg),
-        "lbi-mc": lambda n: mc_kernel(score, n, mc_reps, mc_seed),
-    }
-    if name not in kernels:
+    if name not in LBI_FORMS:
         raise ValueError(f"unknown statistic '{name}'")
     if name == "lbi-closed" and score.polynomial_coeffs is None:
         raise ValueError("lbi-closed needs a polynomial score")
-    kernel_for = functools.cache(kernels[name])
-    return StatisticSpec(label, 1, _of_residuals(lambda z: kernel_for(z.shape[1])(z)), fingerprint)
+    # loads scores and numpy.polynomial too, which skew, kurt and mvn run without
+    from . import univariate
+    method, build, template = LBI_FORMS[name]
+    settings = {"quad_cfg": quad_cfg or univariate.QuadratureConfig(), "mc_reps": mc_reps,
+                "mc_seed": mc_seed}
+    at_n = functools.cache(lambda n: build(univariate, score, n, **settings))
+    fingerprint = ";".join(filter(None, [score.fingerprint, template.format(**settings)]))
+    return StatisticSpec(f"{name}({score.family_label})", 1,
+                         _of_residuals(lambda z: at_n(z.shape[1])(z)), fingerprint, method)
 
 
 def calibrate_null(

@@ -18,6 +18,7 @@ import gc
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -29,17 +30,6 @@ from .errors import IncompatibleSelection, LbinormError, NumericalError, ParseEr
 if TYPE_CHECKING:
     from .scores import ScoreFunction
     from .stable import InversionConfig
-
-_METHODS = {
-    "skew": "moment",
-    "kurt": "moment",
-    "lbi-exact": "exact-quadrature",
-    "lbi-closed": "closed-form",
-    "lbi-approx": "laplace",
-    "lbi-mc": "monte-carlo",
-    "profile": "profile",
-}
-
 
 def __getattr__(name: str):
     # stable.py loads on the first read of score_stable, so only for a stable: score
@@ -145,13 +135,7 @@ def _build_statistic(args):
             from .stable import InversionConfig
             inv_cfg = InversionConfig(t_max=args.stable_tmax, nodes=args.stable_nodes)
         score = parse_score(args.score, inv_cfg)
-    if args.test in ("skew", "kurt", "mvn"):
-        stat = cal_mod.make_statistic(args.test, group=args.group)
-    else:
-        if score is None:
-            raise IncompatibleSelection(f"--test {args.test} requires --score")
-        stat = cal_mod.make_statistic(args.test, score=score)
-    return stat, score
+    return cal_mod.make_statistic(args.test, score=score, group=args.group), score
 
 
 def _get_calibration(stat, n, p, reps, seed, cache_dir):
@@ -197,7 +181,7 @@ def run_test(args) -> dict:
     report = {
         "statistic_label": stat.label,
         "score_label": score.family_label if score else args.test,
-        "method": f"mvn-{args.group}" if args.test == "mvn" else _METHODS[args.test],
+        "method": stat.method,
         "n": int(n),
         "p": int(p),
         "value": value,
@@ -273,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--test", required=True,
-                        choices=["skew", "kurt", "lbi-exact", "lbi-closed",
-                                 "lbi-approx", "lbi-mc", "profile", "mvn"])
+                        choices=["skew", "kurt", *cal_mod.LBI_FORMS, "mvn"])
         sp.add_argument("--score", default=None,
                         help="hermite:k | gh:beta=<v> | id:kappa3=<v>,kappa4=<v> | "
                              "contam:<name> | stable:beta=<v>")
@@ -358,12 +341,14 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Process entry of ``lbinorm`` and ``python -m lbinorm.cli``.
 
-    Freezes every object left once ``main`` returns: the interpreter's
-    shutdown then skips its final cycle-collection sweep over them (~20 ms
-    of numpy and lbinorm objects), which would reclaim nothing the ending
-    process needs.  Exit handlers and stream flushes run as usual.  Not
-    part of ``main``, which tests and embedding programs call in-process.
+    Prints each warning as one ``warning: <message>`` line, and freezes
+    every object left once ``main`` returns: the interpreter's shutdown
+    then skips its final cycle-collection sweep over them (~20 ms of numpy
+    and lbinorm objects), which would reclaim nothing the ending process
+    needs.  Exit handlers and stream flushes run as usual.  Not part of
+    ``main``, which tests and embedding programs call in-process.
     """
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -153,7 +153,9 @@ def central_difference(f, x) -> np.ndarray:
     from one call of f on both point sets stacked along a new first axis."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(f(np.stack([x + FD_STEP, x - FD_STEP])))
-    return (v[0] - v[1]) / (2.0 * FD_STEP)
+    # inf - inf where f overflows: a non-finite result, refused where it is used
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (v[0] - v[1]) / (2.0 * FD_STEP)
 
 
 def not_a_knot_coefficients(y: np.ndarray, step: float) -> np.ndarray:

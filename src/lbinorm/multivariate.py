@@ -44,13 +44,11 @@ def whiten(X) -> np.ndarray:
     copy whose rows are whole coordinates; the result is a (..., n, p) view
     of such an array, whose coordinates the statistics read as rows.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim < 2 or X.shape[-1] < 1:
-        raise ValueError("expected an n x p matrix")
-    n, p = X.shape[-2:]
+    Xt = _coordinate_major(X)
+    p, n = Xt.shape[-2:]
     if n < p + 2:
         raise ValueError(f"need n >= p + 2, got n={n}, p={p}")
-    Dt = np.swapaxes(X, -1, -2).copy()  # C order: a copy, never a view of X
+    Dt = Xt.copy()  # C order: a copy, never a view of X
     Dt -= Dt.mean(axis=-1, keepdims=True)
     S = Dt @ np.swapaxes(Dt, -1, -2) / n
     try:

@@ -30,6 +30,7 @@ __all__ = [
 
 TAIL_POLYNOMIAL = "polynomial"
 TAIL_SUBGAUSSIAN_DOMINATING = "subgaussian-dominating"
+PROJECTION_NODES = 64  # of orthogonalize's Gauss-Hermite rule, checked on twice as many
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,9 @@ def score_contamination(g: Callable, label: str = "contam") -> ScoreFunction:
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        return np.asarray(g(x)) / _normal_pdf(x) - 1.0
+        # phi underflows to 0 far out: a non-finite value there, refused where it is used
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.asarray(g(x)) / _normal_pdf(x) - 1.0
 
     return ScoreFunction(evaluate=evaluate, family_label=label)
 
@@ -169,7 +172,7 @@ def _gauss_hermite_moments(fn, nodes: int):
     return np.array([np.sum(w * v), np.sum(w * v * x), np.sum(w * v * (x * x - 1.0))])
 
 
-def orthogonalize(score: ScoreFunction, nodes: int = 64) -> ScoreFunction:
+def orthogonalize(score: ScoreFunction) -> ScoreFunction:
     """Remove the L2(phi) projection of a score onto span{1, x, x^2}.
 
     The result satisfies int s(x) x^k phi(x) dx = 0 for k = 0, 1, 2, which
@@ -187,8 +190,8 @@ def orthogonalize(score: ScoreFunction, nodes: int = 64) -> ScoreFunction:
         raise NotSquareIntegrable(
             "score is not square integrable under the Gaussian weight"
         )
-    m = _gauss_hermite_moments(score.evaluate, nodes)
-    m_check = _gauss_hermite_moments(score.evaluate, 2 * nodes)
+    m = _gauss_hermite_moments(score.evaluate, PROJECTION_NODES)
+    m_check = _gauss_hermite_moments(score.evaluate, 2 * PROJECTION_NODES)
     if not np.all(np.isfinite(m_check)) or np.max(np.abs(m - m_check)) > 1e-6 * (
         1.0 + np.max(np.abs(m_check))
     ):

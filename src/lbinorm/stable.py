@@ -34,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 from .core import central_difference, uniform_cubic
 from .core import not_a_knot_coefficients as _not_a_knot_coefficients
 from .errors import AlphaOne, InversionUnconverged
-from .scores import TAIL_SUBGAUSSIAN_DOMINATING, ScoreFunction
+from .scores import TAIL_SUBGAUSSIAN_DOMINATING, ScoreFunction, _normal_pdf
 
 __all__ = [
     "InversionConfig",
@@ -64,8 +64,8 @@ class InversionConfig:
     def __post_init__(self):
         if self.t_max < 8.0:
             raise ValueError("t_max must be >= 8")
-        if self.nodes < 128:
-            raise ValueError("nodes must be >= 128")
+        if self.nodes < 512 or self.nodes % 512:
+            raise ValueError("nodes must be a positive multiple of 512")
         if self.oscillation_splits < 2:
             raise ValueError("oscillation_splits must be >= 2")
         if round(2.0 * self.grid_halfwidth / self.grid_step) < 3:
@@ -118,10 +118,10 @@ def dcf_dalpha_at_2(t, beta: float):
 def _panel_edges(max_abs_x: float, cfg: InversionConfig, nodes: int) -> np.ndarray:
     """Panel edges on [0, t_max]: geometric near 0, capped width elsewhere.
 
-    ``nodes`` drives h-refinement: widths shrink proportionally to
+    ``nodes``, a multiple of 512, splits each panel of the 512-node rule in
     nodes/512, so doubling the node budget halves every panel.
     """
-    refine = max(1, int(round(nodes / 512)))
+    refine = nodes // 512
     edges = [0.0]
     e = 2.0**-16
     while e < 1.0 - 1e-15:
@@ -293,8 +293,7 @@ def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None
 
 def normal_var2_pdf(x):
     """Density of N(0, 2), the standard member at the alpha = 2 boundary."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(-(x * x) / 4.0) / math.sqrt(4.0 * math.pi)
+    return _normal_pdf(np.asarray(x, dtype=float), 0.0, 2.0)
 
 
 def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFunction:

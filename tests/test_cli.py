@@ -154,6 +154,41 @@ class TestRunTest:
         assert outs[0] == outs[1]
 
 
+class TestStatisticCatalogue:
+    """Every --test value is built by name alone, and reports its own method."""
+
+    @pytest.mark.parametrize("command", ["test", "calibrate", "power"])
+    @pytest.mark.parametrize("test", ["lbi-exact", "lbi-closed", "lbi-approx", "lbi-mc", "profile"])
+    def test_score_based_form_without_a_score_exits_2(self, uni_csv, tmp_path, capsys, command,
+                                                      test):
+        extra = {"test": ["--input", str(uni_csv)],
+                 "calibrate": ["--n", "20", "--calibration-cache", str(tmp_path)],
+                 "power": ["--n", "20", "--family", "laplace", "--shapes", "0.2"]}[command]
+        assert main([command, "--test", test, "--seed", "1", "--reps", "1000", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: statistic '{test}' needs a score\n"
+        assert not list(tmp_path.glob("*.lbical"))
+
+    @pytest.mark.parametrize("test, extra, method", [
+        ("skew", [], "moment"),
+        ("kurt", [], "moment"),
+        ("lbi-exact", ["--score", "hermite:4"], "exact-quadrature"),
+        ("lbi-closed", ["--score", "hermite:4"], "closed-form"),
+        ("lbi-approx", ["--score", "hermite:4"], "laplace"),
+        ("lbi-mc", ["--score", "hermite:4"], "monte-carlo"),
+        ("profile", ["--score", "hermite:4"], "profile"),
+        ("mvn", ["--group", "gl"], "mvn-gl"),
+        ("mvn", ["--group", "lt"], "mvn-lt"),
+    ])
+    def test_report_names_the_method(self, uni_csv, mvn_csv, tmp_path, test, extra, method):
+        out = tmp_path / "report.json"
+        data = mvn_csv if test == "mvn" else uni_csv
+        assert main(["test", "--input", str(data), "--test", test, *extra, "--seed", "2",
+                     "--reps", "10000", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["method"] == method
+
+
 class TestRunCalibrate:
     def test_cache_files_byte_equal(self, tmp_path, capsys):
         args = [

@@ -280,6 +280,36 @@ def test_inversion_settings_are_checked_for_a_stable_score(samples, capsys):
     assert capsys.readouterr().err == "error: t_max must be >= 8\n"
 
 
+def test_a_process_prints_one_line_per_warning(tmp_path):
+    proc = _python(["-m", "lbinorm.cli", "calibrate", "--test", "kurt", "--n", "20",
+                    "--reps", "2000", "--seed", "1", "--calibration-cache", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "warning: fewer than 1e4 replications; critical values are coarse\n"
+
+
+def test_a_failing_process_prints_its_warning_then_its_error():
+    # the score's g/phi and profile's central difference go non-finite far
+    # out in the tails; neither writes a numpy warning before the error line
+    proc = _python(["-m", "lbinorm.cli", "power", "--test", "profile", "--score",
+                    "contam:laplace-unit", "--n", "2000", "--family", "stable", "--shapes", "0.8",
+                    "--reps", "1000", "--power-reps", "100", "--seed", "5"])
+    assert proc.returncode == 3
+    warning, error = proc.stderr.split("\n")[:-1]
+    assert warning == "warning: fewer than 1e4 replications; critical values are coarse"
+    assert error.startswith("error: profile(contam:laplace-unit): ")
+    assert error.endswith(" of 100 statistic values at shape 0.8, n = 2000 are not finite")
+
+
+def test_stable_nodes_off_the_multiples_of_512_exit_2(samples):
+    uni, _ = samples
+    proc = _python(["-m", "lbinorm.cli", "test", "--test", "lbi-approx", "--score",
+                    "stable:beta=0", "--input", str(uni), "--seed", "1", "--reps", "1000",
+                    "--stable-nodes", "256"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: nodes must be a positive multiple of 512\n"
+
+
 def test_every_public_name_resolves_and_is_listed():
     script = ("import lbinorm, sys\n"
               "print(sorted(m for m in sys.modules if m.startswith('lbinorm.')))\n"

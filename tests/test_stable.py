@@ -90,6 +90,26 @@ class TestInversionConfig:
         with pytest.raises(ValueError):
             InversionConfig(oscillation_splits=1)
 
+    @pytest.mark.parametrize("nodes", [0, 256, 383, 600, 1000])
+    def test_nodes_are_a_positive_multiple_of_512(self, nodes):
+        # the panels refine in whole steps of 512 nodes: any other count would
+        # build the rule of a nearby multiple, and 128 to 383 would make the
+        # convergence check compare the 512-node rule with itself
+        with pytest.raises(ValueError, match="nodes must be a positive multiple of 512"):
+            InversionConfig(nodes=nodes)
+
+    @pytest.mark.parametrize("nodes", [512, 1024])
+    @pytest.mark.parametrize("bound", [4.0, 9.0])
+    def test_the_doubling_check_compares_two_rules(self, nodes, bound):
+        cfg = InversionConfig(nodes=nodes)
+        coarse = stable._panel_edges(bound, cfg, cfg.nodes)
+        fine = stable._panel_edges(bound, cfg, 2 * cfg.nodes)
+        assert fine.size > coarse.size
+        assert np.diff(fine).max() <= 0.5 * np.diff(coarse).max() * (1.0 + 1e-12)
+        coarse_nodes, _, _ = stable._panel_rule(bound, cfg, cfg.nodes)
+        fine_nodes, _, _ = stable._panel_rule(bound, cfg, 2 * cfg.nodes)
+        assert fine_nodes.size > coarse_nodes.size
+
 
 class TestStableDensityDerivative:
     def test_origin_against_direct_quadrature(self):
