@@ -151,8 +151,8 @@ def _of_residuals(residual_fn: Callable, multivariate: bool = False) -> Callable
 
 # The score-based LBI forms by name: the method a report gives; the form's
 # function of an (m, n) batch of standardized residuals, given the univariate
-# module, the score, n and make_statistic's settings; and the template of the
-# text of the settings its values depend on beyond the score's.
+# module, the score, n and make_statistic's settings; and a template, filled
+# from those settings, of what the form adds to the score's fingerprint.
 LBI_FORMS = {
     "lbi-exact": ("exact-quadrature",
                   lambda u, score, n, quad_cfg, **_: u.exact_kernel(score, n, quad_cfg),
