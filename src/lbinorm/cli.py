@@ -39,11 +39,17 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+# The keys that each key=value score kind reads
+_SCORE_KEYS = {"gh": ("beta",), "id": ("kappa3", "kappa4"), "stable": ("beta",)}
+
+
 def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> ScoreFunction:
     """Resolve a score selection string.
 
     Forms: hermite:k, gh:beta=<v>, id:kappa3=<v>,kappa4=<v>,
-    contam:<builtin-name>, stable:beta=<v>.
+    contam:<builtin-name>, stable:beta=<v>.  A key that the kind does not
+    read is refused.  ``inversion_cfg`` is for library callers; the command
+    line always tabulates a stable score with the default settings.
     """
     from .scores import (builtin_contaminations, score_contamination, score_gh_limit,
                          score_hermite, score_infinitely_divisible)
@@ -51,17 +57,6 @@ def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> Scor
     try:
         if kind == "hermite":
             return score_hermite(int(rest))
-        kv = {}
-        if rest:
-            for part in rest.split(","):
-                key, _, val = part.partition("=")
-                kv[key.strip()] = val.strip()
-        if kind == "gh":
-            return score_gh_limit(float(kv["beta"]))
-        if kind == "id":
-            return score_infinitely_divisible(
-                float(kv.get("kappa3", 0.0)), float(kv.get("kappa4", 0.0))
-            )
         if kind == "contam":
             densities = builtin_contaminations()
             if rest not in densities:
@@ -69,12 +64,23 @@ def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> Scor
                     f"unknown contamination '{rest}'; choose from {sorted(densities)}"
                 )
             return score_contamination(densities[rest], label=f"contam:{rest}")
-        if kind == "stable":
-            # read from the module, so that a replaced cli.score_stable is the one called
-            return sys.modules[__name__].score_stable(float(kv.get("beta", 0.0)), inversion_cfg)
-    except (KeyError, TypeError) as exc:
+        if kind not in _SCORE_KEYS:
+            raise ValueError(f"unknown score kind '{kind}'")
+        kv = {}
+        for part in rest.split(",") if rest else ():
+            key, _, val = part.partition("=")
+            key = key.strip()
+            if key not in _SCORE_KEYS[kind]:
+                raise ValueError(f"score kind '{kind}' reads no key '{key}'")
+            kv[key] = float(val)
+        if kind == "gh":
+            return score_gh_limit(kv["beta"])
+        if kind == "id":
+            return score_infinitely_divisible(kv.get("kappa3", 0.0), kv.get("kappa4", 0.0))
+        # read from the module, so that a replaced cli.score_stable is the one called
+        return sys.modules[__name__].score_stable(kv.get("beta", 0.0), inversion_cfg)
+    except KeyError as exc:
         raise ValueError(f"malformed score string '{spec}'") from exc
-    raise ValueError(f"unknown score kind '{kind}'")
 
 
 def read_csv(path) -> np.ndarray:
@@ -128,20 +134,16 @@ def _resolve_seed(args) -> int:
 
 
 def _build_statistic(args):
-    score = None
-    if args.score:
-        inv_cfg = None
-        if args.score.partition(":")[0] == "stable":
-            from .stable import InversionConfig
-            inv_cfg = InversionConfig(t_max=args.stable_tmax, nodes=args.stable_nodes)
-        score = parse_score(args.score, inv_cfg)
+    if args.score and args.test not in cal_mod.LBI_FORMS:
+        raise ValueError(f"statistic '{args.test}' takes no score")
+    score = parse_score(args.score) if args.score else None
     return cal_mod.make_statistic(args.test, score=score, group=args.group), score
 
 
 def _get_calibration(stat, n, p, reps, seed, cache_dir):
     """The null for (n, p, reps, seed), read from a cache whose header matches."""
     if not cache_dir:
-        return cal_mod.calibrate_null(stat, n, reps, seed, p=p), None
+        return cal_mod.calibrate_null(stat, n, reps, seed, p=p)
     path = cal_mod.cache_path(cache_dir, stat.label, n, p, reps, seed, stat.fingerprint)
     if path.exists():
         cal = cal_mod.load_calibration(path, stat.label, stat.fingerprint)
@@ -149,10 +151,10 @@ def _get_calibration(stat, n, p, reps, seed, cache_dir):
         if header != (n, p, reps, seed):
             raise ValueError(f"{path}: cache header has (n, p, reps, seed) = {header}, "
                              f"not the requested {(n, p, reps, seed)}")
-        return cal, path
+        return cal
     cal = cal_mod.calibrate_null(stat, n, reps, seed, p=p)
     cal_mod.save_calibration(cal, path)
-    return cal, path
+    return cal
 
 
 def _check_level(level: float) -> None:
@@ -176,7 +178,7 @@ def run_test(args) -> dict:
     p = data.shape[1] if multivariate else 1
     stat, score = _build_statistic(args)
     value = stat.compute(data)
-    cal, _ = _get_calibration(stat, n, p, args.reps, seed, args.calibration_cache)
+    cal = _get_calibration(stat, n, p, args.reps, seed, args.calibration_cache)
     pv = cal_mod.p_value(cal, value)
     report = {
         "statistic_label": stat.label,
@@ -194,8 +196,6 @@ def run_test(args) -> dict:
             "score": args.score,
             "group": args.group if args.test == "mvn" else None,
             "input": str(args.input),
-            "stable_tmax": args.stable_tmax,
-            "stable_nodes": args.stable_nodes,
         },
     }
     out = json.dumps(report, sort_keys=True, indent=2) + "\n"
@@ -229,9 +229,7 @@ def run_power(args) -> list:
             cal_mod.AlternativeSpec(family=args.family, shape=shape, beta=args.family_beta))
     seed = _resolve_seed(args)
     stat, _ = _build_statistic(args)
-    cal, _ = _get_calibration(
-        stat, args.n, 1, args.reps, seed, args.calibration_cache
-    )
+    cal = _get_calibration(stat, args.n, 1, args.reps, seed, args.calibration_cache)
     rows = cal_mod.power_curve(
         stat,
         args.family,
@@ -267,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--reproducible", action="store_true")
         sp.add_argument("--calibration-cache", default=None)
-        sp.add_argument("--stable-tmax", type=float, default=10.0)
-        sp.add_argument("--stable-nodes", type=int, default=512)
 
     t = sub.add_parser("test", help="run a normality test on a CSV file")
     common(t)

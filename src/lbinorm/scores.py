@@ -102,6 +102,8 @@ def score_infinitely_divisible(kappa3: float, kappa4: float) -> ScoreFunction:
     (kappa4/24) He_4.  The blend of both is available separately via
     ``score_edgeworth_combined`` but is not the canonical leading term.
     """
+    if not (math.isfinite(kappa3) and math.isfinite(kappa4)):
+        raise ValueError("kappa3 and kappa4 must be finite")
     if kappa3 == 0.0 and kappa4 == 0.0:
         raise BothCumulantsZero("kappa3 and kappa4 both zero")
     if kappa3 != 0.0:

@@ -82,7 +82,7 @@ def stable_cf(t, alpha: float, beta: float):
         raise ValueError("alpha must be in (0, 2]")
     if alpha == 1.0:
         raise AlphaOne("alpha = 1 is excluded by this parametrization formula")
-    if abs(beta) > 1.0:
+    if not abs(beta) <= 1.0:
         raise ValueError("|beta| must be <= 1")
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
@@ -103,7 +103,7 @@ def dcf_dalpha_at_2(t, beta: float):
     tan(pi*alpha/2) vanishes at alpha = 2 while its alpha-derivative is
     pi/2, which is the only way beta enters.  Defined as 0 at t = 0.
     """
-    if abs(beta) > 1.0:
+    if not abs(beta) <= 1.0:
         raise ValueError("|beta| must be <= 1")
     t = np.asarray(t, dtype=float)
     at = np.abs(t)
@@ -270,7 +270,7 @@ def stable_density_derivative(x, beta: float, cfg: InversionConfig | None = None
     doubled and a relative drift above 1e-8 raises InversionUnconverged.
     A non-finite x raises ValueError (an infinite one has no panel width).
     """
-    if abs(beta) > 1.0:
+    if not abs(beta) <= 1.0:
         raise ValueError("|beta| must be <= 1")
     cfg = cfg or InversionConfig()
     x = np.atleast_1d(np.asarray(x, dtype=float))

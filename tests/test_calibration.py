@@ -32,6 +32,7 @@ from lbinorm.errors import (DegenerateSample, IncompatibleSelection, ScoreOverfl
                             SingularCovariance, UnsupportedShape)
 from lbinorm.multivariate import stat_gl, stat_lt, whiten
 from lbinorm.scores import score_gh_limit, score_hermite
+from lbinorm.stable import InversionConfig, score_stable
 from lbinorm.univariate import (
     QuadratureConfig,
     lbi_closed_form,
@@ -335,8 +336,11 @@ class TestCacheFingerprint:
             make_statistic("lbi-mc", score=score, mc_reps=2000),
             make_statistic("lbi-mc", score=score, mc_reps=2000, mc_seed=1),
             make_statistic("lbi-mc", score=score, mc_reps=3000),
+            make_statistic("lbi-approx", score=score_stable(0.0)),
+            make_statistic("lbi-approx", score=score_stable(0.0, InversionConfig(nodes=1024))),
         ]
-        assert [s.label for s in specs] == ["lbi-exact(hermite:4)"] * 2 + ["lbi-mc(hermite:4)"] * 3
+        assert [s.label for s in specs] == (["lbi-exact(hermite:4)"] * 2 + ["lbi-mc(hermite:4)"] * 3
+                                            + ["lbi-approx(stable:beta=0)"] * 2)
         assert make_statistic("lbi-exact", score=score, quad_cfg=QuadratureConfig()).fingerprint \
             == specs[0].fingerprint
         paths = {cache_path(tmp_path, s.label, 9, 1, 2000, 1, s.fingerprint) for s in specs}

@@ -60,6 +60,32 @@ class TestParseScore:
             with pytest.raises(ValueError):
                 parse_score(bad)
 
+    @pytest.mark.parametrize("spec, key", [("gh:beta=1,lam=2", "lam"), ("id:kappa3=1,beta=2", "beta"),
+                                           ("stable:beta=0,foo=1", "foo")])
+    def test_a_key_the_kind_does_not_read_exits_2(self, uni_csv, capsys, spec, key):
+        assert main(["test", "--input", str(uni_csv), "--test", "lbi-approx", "--score", spec,
+                     "--seed", "1", "--reps", "1000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: score kind '{spec.partition(':')[0]}' reads no key '{key}'\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("id:kappa3=nan", "kappa3 and kappa4 must be finite"),
+        ("id:kappa4=inf", "kappa3 and kappa4 must be finite"),
+        ("stable:beta=nan", "|beta| must be <= 1"),
+    ])
+    def test_non_finite_parameter_exits_2_before_any_tabulation(self, uni_csv, tmp_path, capsys,
+                                                               monkeypatch, spec, message):
+        from lbinorm import stable
+
+        inverted = []
+        monkeypatch.setattr(stable, "_inversion_values", lambda *args: inverted.append(args))
+        assert main(["test", "--input", str(uni_csv), "--test", "lbi-approx", "--score", spec,
+                     "--seed", "1", "--reps", "1000", "--calibration-cache", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert inverted == []
+        assert not list(tmp_path.glob("*.lbical"))
+
 
 class TestReadCsv:
     def test_header_autodetect(self, uni_csv):
@@ -170,6 +196,48 @@ class TestStatisticCatalogue:
         assert captured.err == f"error: statistic '{test}' needs a score\n"
         assert not list(tmp_path.glob("*.lbical"))
 
+    @pytest.mark.parametrize("command", ["test", "calibrate", "power"])
+    @pytest.mark.parametrize("test", ["skew", "kurt", "mvn"])
+    def test_statistic_without_a_score_refuses_one(self, uni_csv, mvn_csv, tmp_path, capsys,
+                                                   command, test):
+        extra = {"test": ["--input", str(mvn_csv if test == "mvn" else uni_csv)],
+                 "calibrate": ["--n", "20", "--calibration-cache", str(tmp_path)],
+                 "power": ["--n", "20", "--family", "laplace", "--shapes", "0.2"]}[command]
+        assert main([command, "--test", test, "--score", "hermite:4", "--seed", "1",
+                     "--reps", "1000", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: statistic '{test}' takes no score\n"
+        assert not list(tmp_path.glob("*.lbical"))
+
+    @pytest.mark.parametrize("command", ["test", "calibrate", "power"])
+    @pytest.mark.parametrize("flag", ["--stable-tmax", "--stable-nodes"])
+    def test_no_command_takes_inversion_settings(self, capsys, command, flag):
+        required = {"test": ["--input", "u.csv"], "calibrate": ["--n", "20"],
+                    "power": ["--n", "20", "--family", "laplace", "--shapes", "0.2"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, "--test", "lbi-approx", "--score",
+                                           "stable:beta=0", *required, flag, "1024"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag} 1024\n")
+
+    def test_schema_methods_are_the_catalogue_s(self):
+        methods = {method for method, _, _ in cal_mod.LBI_FORMS.values()}
+        assert set(_schema()["properties"]["method"]["enum"]) == {"moment", "mvn-gl",
+                                                                 "mvn-lt"} | methods
+
+    def test_univariate_results_carry_the_catalogue_method(self):
+        from lbinorm import univariate
+        from lbinorm.scores import score_hermite
+
+        z, score = np.random.default_rng(3).standard_normal(12), score_hermite(4)
+        results = {"lbi-exact": univariate.lbi_exact(z, score),
+                   "lbi-closed": univariate.lbi_closed_form(z, score),
+                   "lbi-approx": univariate.lbi_laplace(z, score),
+                   "lbi-mc": univariate.lbi_monte_carlo(z, score, 2000, 0)}
+        assert {name: r.method for name, r in results.items()} \
+            == {name: cal_mod.LBI_FORMS[name][0] for name in results}
+
     @pytest.mark.parametrize("test, extra, method", [
         ("skew", [], "moment"),
         ("kurt", [], "moment"),
@@ -218,39 +286,6 @@ class TestRunCalibrate:
         assert main(argv) == 0
         assert files[0].stat().st_mtime_ns == stamp  # loaded, not rebuilt
         assert (tmp_path / "r1.json").read_text() == (tmp_path / "r2.json").read_text()
-
-
-class TestCacheKey:
-    """A cache file is keyed by every setting that changes the statistic."""
-
-    def _calibrate(self, cache, capsys, *extra):
-        argv = ["calibrate", "--test", "lbi-approx", "--score", "stable:beta=0", "--n", "20",
-                "--reps", "1000", "--seed", "5", "--calibration-cache", str(cache), *extra]
-        assert main(argv) == 0
-        return capsys.readouterr().out.strip()
-
-    @pytest.mark.parametrize("setting", [["--stable-tmax", "20"], ["--stable-nodes", "1024"]])
-    def test_inversion_settings_name_their_own_file(self, uni_csv, tmp_path, capsys,
-                                                    monkeypatch, setting):
-        cache = tmp_path / "cache"
-        first = self._calibrate(cache, capsys)
-        second = self._calibrate(cache, capsys, *setting)
-        assert first != second
-        assert len(list(cache.glob("*.lbical"))) == 2
-        loaded = []
-        inner = cal_mod.load_calibration
-
-        def recorded(path, *args):
-            loaded.append(str(path))
-            return inner(path, *args)
-
-        monkeypatch.setattr(cal_mod, "load_calibration", recorded)
-        report = tmp_path / "r.json"
-        assert main(["test", "--input", str(uni_csv), "--test", "lbi-approx", "--score",
-                     "stable:beta=0", "--reps", "1000", "--seed", "5", "--calibration-cache",
-                     str(cache), "--json", str(report), *setting]) == 0
-        assert loaded == [second]
-        assert json.loads(report.read_text())["statistic_label"] == "lbi-approx(stable:beta=0)"
 
 
 class TestRunPower:

@@ -272,12 +272,18 @@ def test_stable_score_loads_the_stable_module(samples):
     assert code == 0 and "lbinorm.stable" in loaded
 
 
-def test_inversion_settings_are_checked_for_a_stable_score(samples, capsys):
-    uni, _ = samples
-    argv = ["test", "--input", str(uni), "--seed", "1", "--reps", "1000",
-            "--stable-tmax", "4", "--json", os.devnull]
-    assert main([*argv, "--test", "lbi-approx", "--score", "stable:beta=0"]) == 2
-    assert capsys.readouterr().err == "error: t_max must be >= 8\n"
+@pytest.mark.parametrize("test", ["skew", "kurt", "mvn"])
+def test_a_statistic_without_a_score_refuses_one(samples, tmp_path, test):
+    uni, multi = samples
+    argv = ["test", "--test", test, "--score", "stable:beta=0", "--input",
+            str(multi if test == "mvn" else uni), "--seed", "1", "--reps", "1000",
+            "--calibration-cache", str(tmp_path)]
+    proc = _python(["-m", "lbinorm.cli", *argv])
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == (2, "", f"error: statistic '{test}' takes no score\n")
+    code, loaded = _loaded_by(argv)
+    assert code == 2 and not {"lbinorm.scores", "lbinorm.stable"} & set(loaded)
+    assert not list(tmp_path.glob("*.lbical"))
 
 
 def test_a_process_prints_one_line_per_warning(tmp_path):
@@ -298,16 +304,6 @@ def test_a_failing_process_prints_its_warning_then_its_error():
     assert warning == "warning: fewer than 1e4 replications; critical values are coarse"
     assert error.startswith("error: profile(contam:laplace-unit): ")
     assert error.endswith(" of 100 statistic values at shape 0.8, n = 2000 are not finite")
-
-
-def test_stable_nodes_off_the_multiples_of_512_exit_2(samples):
-    uni, _ = samples
-    proc = _python(["-m", "lbinorm.cli", "test", "--test", "lbi-approx", "--score",
-                    "stable:beta=0", "--input", str(uni), "--seed", "1", "--reps", "1000",
-                    "--stable-nodes", "256"])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: nodes must be a positive multiple of 512\n"
 
 
 def test_every_public_name_resolves_and_is_listed():
