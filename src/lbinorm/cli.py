@@ -48,8 +48,9 @@ def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> Scor
 
     Forms: hermite:k, gh:beta=<v>, id:kappa3=<v>,kappa4=<v>,
     contam:<builtin-name>, stable:beta=<v>.  A key that the kind does not
-    read is refused.  ``inversion_cfg`` is for library callers; the command
-    line always tabulates a stable score with the default settings.
+    read, or a key given twice, is refused.  ``inversion_cfg`` is for
+    library callers; the command line always tabulates a stable score with
+    the default settings.
     """
     from .scores import (builtin_contaminations, score_contamination, score_gh_limit,
                          score_hermite, score_infinitely_divisible)
@@ -72,6 +73,8 @@ def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> Scor
             key = key.strip()
             if key not in _SCORE_KEYS[kind]:
                 raise ValueError(f"score kind '{kind}' reads no key '{key}'")
+            if key in kv:
+                raise ValueError(f"score kind '{kind}' reads key '{key}' twice")
             kv[key] = float(val)
         if kind == "gh":
             return score_gh_limit(kv["beta"])
@@ -220,6 +223,10 @@ def run_calibrate(args) -> Path:
 
 
 def run_power(args) -> list:
+    # every sampler is univariate; an mvn --score gets _build_statistic's refusal instead
+    if args.test == "mvn" and not args.score:
+        raise IncompatibleSelection("power has no multivariate alternatives yet; "
+                                    "--test mvn runs with test and calibrate only")
     _check_level(args.level)
     if args.power_reps < 1:
         raise ValueError("power reps must be >= 1")

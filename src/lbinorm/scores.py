@@ -119,6 +119,8 @@ def score_edgeworth_combined(kappa3: float, kappa4: float) -> ScoreFunction:
     Provided for experimentation; the leading-order direction used by the
     canonical constructor keeps only one term.
     """
+    if not (math.isfinite(kappa3) and math.isfinite(kappa4)):
+        raise ValueError("kappa3 and kappa4 must be finite")
     if kappa3 == 0.0 and kappa4 == 0.0:
         raise BothCumulantsZero("kappa3 and kappa4 both zero")
     coeffs = np.zeros(5)

@@ -21,7 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from .core import (central_difference, not_a_knot_coefficients, power_sums, replications,
                    standardized_moment, uniform_cubic)
 from .errors import QuadratureUnconverged, ScoreOverflow
-from .scores import ScoreFunction
+from .scores import ScoreFunction, _poly_score
 
 __all__ = [
     "QuadratureConfig",
@@ -275,6 +275,13 @@ def closed_form_kernel(coeffs, n: int) -> LbiKernel:
     return LbiKernel(kappa=(table * moments).sum(axis=0))
 
 
+def _form(name: str, score: ScoreFunction, n: int, **settings):
+    """Report method and kernel at n of the LBI form ``name``, from LBI_FORMS."""
+    from .calibration import LBI_FORMS  # on the first call, not when this module loads
+    method, build, _ = LBI_FORMS[name]
+    return method, build(sys.modules[__name__], score, n, **settings)
+
+
 def lbi_exact(z, score: ScoreFunction, cfg: QuadratureConfig | None = None, check: bool = True) -> LbiStatistic:
     """Exact LBI statistic by 2-D quadrature of the summed score, summed
     over the nodes directly (never from a kernel table).  That is the same
@@ -291,61 +298,53 @@ def lbi_exact(z, score: ScoreFunction, cfg: QuadratureConfig | None = None, chec
     cfg = cfg or QuadratureConfig()
 
     def value_on(rule):
-        kernel = exact_kernel(score, n, rule)
-        return float(kernel(z)[0] if kernel.kappa is not None else kernel.direct(z).sum())
+        method, kernel = _form("lbi-exact", score, n, quad_cfg=rule)
+        return method, float(kernel(z)[0] if kernel.kappa is not None else kernel.direct(z).sum())
 
-    value = value_on(cfg)
+    method, value = value_on(cfg)
     if check:
-        value_fine = value_on(replace(cfg, a_nodes=2 * cfg.a_nodes, b_nodes=2 * cfg.b_nodes))
+        _, value_fine = value_on(replace(cfg, a_nodes=2 * cfg.a_nodes, b_nodes=2 * cfg.b_nodes))
         if not abs(value_fine - value) <= cfg.rtol * max(abs(value_fine), 1e-300):
-            raise QuadratureUnconverged(
-                f"value moved from {value:.12e} to {value_fine:.12e} under node doubling"
-            )
+            raise QuadratureUnconverged(f"value moved from {value:.12e} to {value_fine:.12e} "
+                                        "under node doubling")
         value = value_fine
-    return LbiStatistic(value=value, method="exact-quadrature",
-                        score_label=score.family_label, n=n)
+    return LbiStatistic(value, method, score.family_label, n)
 
 
 def lbi_closed_form(z, score) -> LbiStatistic:
     """Closed-form LBI statistic (``closed_form_kernel``) for a polynomial score:
     a ScoreFunction with polynomial coefficients or a raw coefficient
     sequence, highest degree first."""
-    if isinstance(score, ScoreFunction):
-        if score.polynomial_coeffs is None:
-            raise ValueError("closed form needs polynomial coefficients")
-        coeffs = np.asarray(score.polynomial_coeffs, dtype=float)
-        label = score.family_label
-    else:
-        coeffs = np.asarray(score, dtype=float)
-        label = "poly"
-    if coeffs.size - 1 > 8:
+    if not isinstance(score, ScoreFunction):
+        score = _poly_score(score, "poly")
+    if score.polynomial_coeffs is None:
+        raise ValueError("closed form needs polynomial coefficients")
+    if len(score.polynomial_coeffs) - 1 > 8:
         raise ValueError("polynomial degree must be <= 8")
     z = np.asarray(z, dtype=float)
-    value = float(closed_form_kernel(coeffs, z.size)(z)[0])
-    return LbiStatistic(value=value, method="closed-form", score_label=label, n=z.size)
+    method, kernel = _form("lbi-closed", score, z.size)
+    return LbiStatistic(float(kernel(z)[0]), method, score.family_label, z.size)
 
 
 def lbi_laplace(z, score: ScoreFunction) -> LbiStatistic:
     """Approximate LBI: the score summed at the standardized residuals."""
     z = np.asarray(z, dtype=float)
-    vals = np.asarray(score(z))
-    if not np.all(np.isfinite(vals)):
+    method, kernel = _form("lbi-approx", score, z.size)
+    value = float(kernel(z.reshape(1, -1))[0])
+    if not math.isfinite(value):
         raise ScoreOverflow("score produced a non-finite value")
-    return LbiStatistic(value=float(vals.sum()), method="laplace",
-                        score_label=score.family_label, n=z.size)
+    return LbiStatistic(value, method, score.family_label, z.size)
 
 
 def lbi_monte_carlo(z, score: ScoreFunction, reps: int, seed: int) -> LbiStatistic:
     """Monte-Carlo LBI: the average of sum_i score(A + B z_i) over the
     fixed draws of ``mc_kernel``, with its standard error."""
     z = np.asarray(z, dtype=float)
-    n = z.size
-    sums = mc_kernel(score, n, reps, seed).node_sums(z)
+    method, kernel = _form("lbi-mc", score, z.size, mc_reps=reps, mc_seed=seed)
+    sums = kernel.node_sums(z)
     mean = sums.mean()
     var = max((sums * sums).mean() - mean * mean, 0.0)
-    return LbiStatistic(value=float(mean), method="monte-carlo",
-                        score_label=score.family_label, n=n,
-                        std_error=float(math.sqrt(var / reps)))
+    return LbiStatistic(float(mean), method, score.family_label, z.size, float(math.sqrt(var / reps)))
 
 
 def profile_likelihood_statistic(z, h: ScoreFunction):

@@ -73,6 +73,42 @@ class TestSummarize:
         assert _summary(PARENT, [v - 0.2 for v in PARENT], LOWER)["verdict"] == "gain"
 
 
+class TestQualifiers:
+    def test_resolved_when_the_parent_iqr_is_within_the_bound(self):
+        # IQR 0.045 against 0.25 of the median 1.045
+        assert _summary(PARENT, PARENT)["resolved"] is True
+        # quartiles 1.0225 and 1.55 (IQR 0.5275) against 0.25 of the median 1.095
+        wide = PARENT[:5] + [1.5, 1.6, 1.7, 1.8, 1.9]
+        assert _summary(wide, wide)["resolved"] is False
+
+    def test_resolved_at_exactly_the_bound(self):
+        # quartiles 0.75 and 1.0, median 1.0: the IQR equals 0.25 of the median
+        parent = [0.5, 0.75, 0.75, 0.75, 1.0, 1.0, 1.0, 1.0, 1.25, 1.5]
+        m = _summary(parent, parent)
+        assert m["parent_quartiles"] == [0.75, 1.0] and m["parent_median"] == 1.0
+        assert m["resolved"] is True
+
+    def test_resolved_does_not_change_the_verdict(self):
+        wide = PARENT[:5] + [1.5, 1.6, 1.7, 1.8, 1.9]
+        m = _summary(wide, [v + 0.5 for v in wide])
+        assert m["resolved"] is False and m["verdict"] == "worse"
+
+    def test_change_beats_every_parent_run(self):
+        # the change's median 0.895 lies below the parent's best run, 1.00
+        m = _summary(PARENT, [v - 0.15 for v in PARENT])
+        assert m["change_beats_every_parent_run"] is True and m["verdict"] == "gain"
+        # 1.015 wins all ten pairs, yet the parent's 1.00 and 1.01 are better
+        m = _summary(PARENT, [v - 0.03 for v in PARENT])
+        assert m["change_wins"] == 10 and m["change_beats_every_parent_run"] is False
+        assert _summary(PARENT, PARENT)["change_beats_every_parent_run"] is False
+
+    def test_change_beats_every_parent_run_higher_is_better(self):
+        m = _summary(PARENT, [v + 0.15 for v in PARENT], HIGHER)
+        assert m["change_beats_every_parent_run"] is True
+        assert _summary(PARENT, [v - 0.15 for v in PARENT], HIGHER)[
+            "change_beats_every_parent_run"] is False
+
+
 class TestVerdict:
     # parent median 1.0 and IQR 0.125, both exact in binary
     @pytest.mark.parametrize("wins, change_median, expected", [
@@ -167,4 +203,25 @@ class TestEnvironment:
         assert bench_pairs.main(["--parent", "parent", "--change", "change", "--pr", "0"]) == 0
         report = json.loads((tmp_path / "BENCH_0.json").read_text())
         assert report["environment"] == bench_pairs.environment()
-        assert report["workloads"]["w"]["metrics"]["t_s"]["change_wins"] == 0
+        metric = report["workloads"]["w"]["metrics"]["t_s"]
+        assert metric["change_wins"] == 0
+        assert metric["resolved"] is True and metric["change_beats_every_parent_run"] is False
+
+    def test_the_qualifiers_are_printed_next_to_the_verdict(self, tmp_path, monkeypatch, capsys):
+        spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+                "end_to_end": [{"name": "t_s", "better": "lower", "bound": 0.25}]}
+        for side in bench_pairs.SIDES:
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+        def run_once(checkout, workload, seed, seconds):
+            # the parent alternates 1 s and 2 s runs: quartiles 1 and 2, median 1.5
+            value = 0.1 if checkout.name == "change" else 1.0 + seed % 2
+            return {"correct": True, "attempted": 1, "failed": 0,
+                    "metrics": {"t_s": {"value": value, "unit": "s"}}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        monkeypatch.chdir(tmp_path)
+        assert bench_pairs.main(["--parent", "parent", "--change", "change", "--pr", "0"]) == 0
+        assert ("w t_s: 1.5 -> 0.1, 10/10 wins, gain (unresolved), beats every parent run\n"
+                in capsys.readouterr().out)

@@ -69,6 +69,17 @@ class TestParseScore:
         assert captured.out == ""
         assert captured.err == f"error: score kind '{spec.partition(':')[0]}' reads no key '{key}'\n"
 
+    @pytest.mark.parametrize("spec, key", [("gh:beta=1,beta=2", "beta"),
+                                           ("id:kappa4=1,kappa3=2,kappa4=3", "kappa4"),
+                                           ("stable:beta=0, beta=0.5", "beta")])
+    def test_a_key_given_twice_exits_2(self, uni_csv, tmp_path, capsys, spec, key):
+        assert main(["test", "--input", str(uni_csv), "--test", "lbi-approx", "--score", spec,
+                     "--seed", "1", "--reps", "1000", "--calibration-cache", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: score kind '{spec.partition(':')[0]}' reads key '{key}' twice\n"
+        assert not list(tmp_path.glob("*.lbical"))
+
     @pytest.mark.parametrize("spec, message", [
         ("id:kappa3=nan", "kappa3 and kappa4 must be finite"),
         ("id:kappa4=inf", "kappa3 and kappa4 must be finite"),

@@ -172,7 +172,10 @@ def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: expected an n x p matrix\n"
+        # power has no multivariate samplers, and says so before it draws a null
+        assert captured.err == ("error: power has no multivariate alternatives yet; --test mvn "
+                                "runs with test and calibrate only\n" if argv[0] == "power"
+                                else "error: expected an n x p matrix\n")
     assert not list(tmp_path.glob("*.lbical"))
 
 
@@ -284,6 +287,17 @@ def test_a_statistic_without_a_score_refuses_one(samples, tmp_path, test):
     code, loaded = _loaded_by(argv)
     assert code == 2 and not {"lbinorm.scores", "lbinorm.stable"} & set(loaded)
     assert not list(tmp_path.glob("*.lbical"))
+
+
+def test_power_refuses_mvn_before_any_null(tmp_path):
+    out = tmp_path / "power.csv"
+    proc = _python(["-m", "lbinorm.cli", "power", "--test", "mvn", "--n", "15", "--family",
+                    "laplace", "--shapes", "0,0.2", "--reps", "1000", "--power-reps", "100",
+                    "--seed", "1", "--calibration-cache", str(tmp_path), "--out", str(out)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: power has no multivariate alternatives yet; "
+                           "--test mvn runs with test and calibrate only\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_process_prints_one_line_per_warning(tmp_path):

@@ -95,6 +95,12 @@ class TestScoreInfinitelyDivisible:
         with pytest.raises(BothCumulantsZero):
             score_infinitely_divisible(0.0, 0.0)
 
+    @pytest.mark.parametrize("kappa3, kappa4", [(np.nan, 1.0), (1.0, np.nan),
+                                                (np.inf, 0.0), (0.0, -np.inf)])
+    def test_combined_blend_refuses_non_finite_cumulants(self, kappa3, kappa4):
+        with pytest.raises(ValueError, match="^kappa3 and kappa4 must be finite$"):
+            score_edgeworth_combined(kappa3, kappa4)
+
     def test_combined_blend(self):
         s = score_edgeworth_combined(6.0, 24.0)
         expect = hermite_coefficients(4).astype(float)

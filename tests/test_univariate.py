@@ -154,6 +154,10 @@ class TestLbiExact:
         with pytest.raises(QuadratureUnconverged, match="to nan under node doubling"):
             lbi_exact(z, score_hermite(4))
 
+    def test_two_points_are_refused(self):
+        with pytest.raises(ValueError, match=r"^need n >= 3$"):
+            lbi_exact(np.array([-1.0, 1.0]), score_hermite(4))
+
 
 class TestLbiClosedForm:
     def test_cubic_single_term(self):
@@ -206,6 +210,12 @@ class TestLbiClosedForm:
         with pytest.raises(ValueError):
             lbi_closed_form(z, np.ones(10))
 
+    def test_score_without_coefficients_is_refused(self):
+        z = standardize(np.random.default_rng(16).normal(size=6))
+        quartic = ScoreFunction(evaluate=lambda x: x**4, family_label="x4")
+        with pytest.raises(ValueError, match="^closed form needs polynomial coefficients$"):
+            lbi_closed_form(z, quartic)
+
 
 class TestLbiLaplace:
     def test_hermite_identities(self):
@@ -221,6 +231,14 @@ class TestLbiLaplace:
         z = standardize(np.random.default_rng(22).normal(size=5))
         zero = ScoreFunction(evaluate=lambda x: np.zeros_like(x), family_label="zero")
         assert lbi_laplace(z, zero).value == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_score_value_raises(self, bad):
+        z = standardize(np.random.default_rng(23).normal(size=8))
+        score = ScoreFunction(evaluate=lambda x: np.where(x == x.max(), bad, x),
+                              family_label="bad")
+        with pytest.raises(ScoreOverflow, match="^score produced a non-finite value$"):
+            lbi_laplace(z, score)
 
 
 class TestLbiMonteCarlo:

@@ -21,7 +21,13 @@ from the parent's BENCHMARK.json.  The verdict is ``gain`` when the
 change wins at least nine pairs in ten and its median is better than the
 parent's by more than the parent's interquartile range, ``worse`` when
 its median is worse than the parent's by more than the bound (a fraction
-of the parent's median), and ``flat`` otherwise.  Every run's
+of the parent's median), and ``flat`` otherwise.  Two more fields qualify the
+verdict and are printed next to it: ``resolved``, whether the parent's
+interquartile range is at most the bound times the parent's median (if
+not, the parent's own runs spread wider than the bound, and a ``worse``
+or ``flat`` reading cannot be told from noise), and
+``change_beats_every_parent_run``, whether the change's median is better
+than each of the parent's runs.  Neither changes the verdict.  Every run's
 correctness and operation counts are kept too, and per workload each
 side's failed share (failed over attempted operations, summed over its
 runs) and whether all its runs were correct, with a flag for a workload
@@ -120,6 +126,7 @@ def summarize(runs: dict, metrics: dict) -> dict:
         parent_median = statistics.median(parent)
         change_median = statistics.median(c for _, c in pairs)
         wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+        beats = all((change_median < p) if lower else (change_median > p) for p in parent)
         out[metric] = {
             "unit": runs["parent"][0]["metrics"][metric]["unit"],
             "better": spec["better"],
@@ -130,6 +137,8 @@ def summarize(runs: dict, metrics: dict) -> dict:
             "pairs": pairs,
             "change_wins": wins,
             "verdict": verdict(parent_median, change_median, q3 - q1, wins, lower, spec["bound"]),
+            "resolved": q3 - q1 <= spec["bound"] * abs(parent_median),
+            "change_beats_every_parent_run": beats,
         }
     return out
 
@@ -186,7 +195,10 @@ def main(argv=None) -> int:
             print(f"{workload} FLAG: {flag}", flush=True)
         for metric, m in report["workloads"][workload]["metrics"].items():
             print(f"{workload} {metric}: {m['parent_median']:.4g} -> {m['change_median']:.4g}, "
-                  f"{m['change_wins']}/{PAIRS} wins, {m['verdict']}", flush=True)
+                  f"{m['change_wins']}/{PAIRS} wins, {m['verdict']}"
+                  f"{'' if m['resolved'] else ' (unresolved)'}"
+                  f"{', beats every parent run' if m['change_beats_every_parent_run'] else ''}",
+                  flush=True)
     path = Path(f"BENCH_{args.pr}.json")
     path.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {path}")
