@@ -161,7 +161,7 @@ LBI_FORMS = {
                    lambda u, score, n, **_: u.closed_form_kernel(score.polynomial_coeffs, n),
                    ""),
     "lbi-approx": ("laplace",
-                   lambda u, score, n, **_: lambda z: np.asarray(score(z)).sum(axis=1), ""),
+                   lambda u, score, n, **_: functools.partial(u.score_sums, score=score), ""),
     "lbi-mc": ("monte-carlo",
                lambda u, score, n, mc_reps, mc_seed, **_: u.mc_kernel(score, n, mc_reps, mc_seed),
                "mc_reps={mc_reps},mc_seed={mc_seed}"),
@@ -169,6 +169,13 @@ LBI_FORMS = {
                 lambda u, score, n, **_: functools.partial(u.profile_likelihood_statistic, h=score),
                 ""),
 }
+
+
+def check_score(name: str, score: ScoreFunction) -> None:
+    """Refuse a score that the LBI form ``name`` cannot use.  make_statistic and
+    the one-sample forms call it before any kernel or null is built."""
+    if name == "lbi-closed" and score.polynomial_coeffs is None:
+        raise ValueError("closed form needs polynomial coefficients")
 
 
 def make_statistic(
@@ -199,8 +206,7 @@ def make_statistic(
         raise ValueError(f"statistic '{name}' needs a score")
     if name not in LBI_FORMS:
         raise ValueError(f"unknown statistic '{name}'")
-    if name == "lbi-closed" and score.polynomial_coeffs is None:
-        raise ValueError("lbi-closed needs a polynomial score")
+    check_score(name, score)
     # loads scores and numpy.polynomial too, which skew, kurt and mvn run without
     from . import univariate
     method, build, template = LBI_FORMS[name]

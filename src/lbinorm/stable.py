@@ -48,7 +48,7 @@ __all__ = [
 # Points per chunk of a score evaluation: bounds its temporaries at any n.
 SCORE_CHUNK = 2**16
 # Elements of one (points x frequency nodes) phase block of the inversion.
-PHASE_BLOCK = 2**18
+PHASE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)

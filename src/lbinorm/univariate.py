@@ -46,8 +46,9 @@ TABLE_POINTS = 513
 TABLE_HALFWIDTH = 3.0
 # Extra grid points fitted past each end of the table (see LbiKernel._table).
 TABLE_MARGIN = 4
-# Values per score call of the direct node sum: bounds its temporaries.
-NODE_BLOCK = 2**16
+# Values per block of the direct node sum's score calls, and of a polynomial
+# kernel's node moments and node sums: bounds their temporaries.
+NODE_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -165,15 +166,25 @@ class LbiKernel:
         return coef
 
     def node_sums(self, z) -> np.ndarray:
-        """sum_i l(a_k + b_k z_i) at every node k, for one sample z."""
+        """sum_i l(a_k + b_k z_i) at every node k, for one sample z, over
+        blocks of nodes of at most ``NODE_BLOCK`` values each."""
         a, b, _ = self.nodes
         if self.kappa is not None:
-            return _poly_design(self.score.polynomial_coeffs, a, b) @ power_sums(z, self.kappa.size - 1)
-        rows = max(1, NODE_BLOCK // z.size)
-        return np.concatenate([
-            self._score(a[lo:lo + rows, None] + b[lo:lo + rows, None] * z[None, :]).sum(axis=1)
-            for lo in range(0, a.size, rows)
-        ])
+            table, sums = _binomial_table(self.score.polynomial_coeffs), power_sums(z, self.kappa.size - 1)
+            width = self.kappa.size
+
+            def block(ak, bk):
+                return _poly_design(table, ak, bk) @ sums
+        else:
+            width = z.size
+
+            def block(ak, bk):
+                return self._score(ak[:, None] + bk[:, None] * z[None, :]).sum(axis=1)
+        out = np.empty(a.size)
+        rows = max(1, NODE_BLOCK // width)
+        for lo in range(0, a.size, rows):
+            out[lo:lo + rows] = block(a[lo:lo + rows], b[lo:lo + rows])
+        return out
 
     def _score(self, x) -> np.ndarray:
         vals = np.asarray(self.score(x))
@@ -189,17 +200,30 @@ def _binomial_table(coeffs) -> np.ndarray:
                       for s in range(c.size)] for r in range(c.size)])
 
 
-def _poly_design(coeffs, a, b) -> np.ndarray:
-    """G[k, s] such that sum_i l(a_k + b_k z_i) = sum_s G[k, s] sum_i z_i^s."""
-    table = _binomial_table(coeffs)
+def _poly_design(table, a, b) -> np.ndarray:
+    """G[k, s] such that sum_i l(a_k + b_k z_i) = sum_s G[k, s] sum_i z_i^s,
+    from the score's ``_binomial_table``."""
     d = table.shape[0]
     return (np.vander(a, d, increasing=True) @ table) * np.vander(b, d, increasing=True)
+
+
+def _node_moments(a, b, w, d: int) -> np.ndarray:
+    """M[r, s] = sum_k w_k a_k^r b_k^s for r, s < d, summed over blocks of
+    nodes of at most ``NODE_BLOCK`` values each."""
+    moments = np.zeros((d, d))
+    rows = max(1, NODE_BLOCK // d)
+    for lo in range(0, a.size, rows):
+        hi = lo + rows
+        moments += np.vander(a[lo:hi], d, increasing=True).T @ (
+            np.vander(b[lo:hi], d, increasing=True) * w[lo:hi, None])
+    return moments
 
 
 def _node_kernel(score: ScoreFunction, a, b, w, n: int) -> LbiKernel:
     kappa = None
     if score.polynomial_coeffs is not None:
-        kappa = w @ _poly_design(score.polynomial_coeffs, a, b)
+        table = _binomial_table(score.polynomial_coeffs)
+        kappa = (table * _node_moments(a, b, w, table.shape[0])).sum(axis=0)
         if not np.all(np.isfinite(kappa)):
             raise ScoreOverflow("polynomial kernel coefficient is not finite")
     # standardized residuals have |z| <= sqrt(n - 1) (Samuelson's bound)
@@ -276,8 +300,13 @@ def closed_form_kernel(coeffs, n: int) -> LbiKernel:
 
 
 def _form(name: str, score: ScoreFunction, n: int, **settings):
-    """Report method and kernel at n of the LBI form ``name``, from LBI_FORMS."""
-    from .calibration import LBI_FORMS  # on the first call, not when this module loads
+    """Report method and kernel at n of the LBI form ``name``, from LBI_FORMS.
+    Refuses n < 3, where the two standardized residuals are always -1 and 1,
+    and a score the form cannot use (``calibration.check_score``)."""
+    from .calibration import LBI_FORMS, check_score  # on the first call, not when this module loads
+    if n < 3:
+        raise ValueError("need n >= 3")
+    check_score(name, score)
     method, build, _ = LBI_FORMS[name]
     return method, build(sys.modules[__name__], score, n, **settings)
 
@@ -293,8 +322,6 @@ def lbi_exact(z, score: ScoreFunction, cfg: QuadratureConfig | None = None, chec
     """
     z = np.asarray(z, dtype=float)
     n = z.size
-    if n < 3:
-        raise ValueError("need n >= 3")
     cfg = cfg or QuadratureConfig()
 
     def value_on(rule):
@@ -317,13 +344,19 @@ def lbi_closed_form(z, score) -> LbiStatistic:
     sequence, highest degree first."""
     if not isinstance(score, ScoreFunction):
         score = _poly_score(score, "poly")
-    if score.polynomial_coeffs is None:
-        raise ValueError("closed form needs polynomial coefficients")
-    if len(score.polynomial_coeffs) - 1 > 8:
+    if score.polynomial_coeffs is not None and len(score.polynomial_coeffs) - 1 > 8:
         raise ValueError("polynomial degree must be <= 8")
     z = np.asarray(z, dtype=float)
     method, kernel = _form("lbi-closed", score, z.size)
     return LbiStatistic(float(kernel(z)[0]), method, score.family_label, z.size)
+
+
+def score_sums(z, score: ScoreFunction) -> np.ndarray:
+    """sum_i l(z_i) per row of a (m, n) batch, the Laplace form's kernel.  A
+    sum of finite values beyond the float range is inf, without numpy's
+    overflow warning; the caller refuses it."""
+    with np.errstate(over="ignore"):
+        return np.asarray(score(z)).sum(axis=1)
 
 
 def lbi_laplace(z, score: ScoreFunction) -> LbiStatistic:
@@ -332,7 +365,9 @@ def lbi_laplace(z, score: ScoreFunction) -> LbiStatistic:
     method, kernel = _form("lbi-approx", score, z.size)
     value = float(kernel(z.reshape(1, -1))[0])
     if not math.isfinite(value):
-        raise ScoreOverflow("score produced a non-finite value")
+        if not np.all(np.isfinite(score(z))):
+            raise ScoreOverflow("score produced a non-finite value")
+        raise ScoreOverflow(f"the sum of the score over the {z.size} points leaves the float range")
     return LbiStatistic(value, method, score.family_label, z.size)
 
 
@@ -343,7 +378,7 @@ def lbi_monte_carlo(z, score: ScoreFunction, reps: int, seed: int) -> LbiStatist
     method, kernel = _form("lbi-mc", score, z.size, mc_reps=reps, mc_seed=seed)
     sums = kernel.node_sums(z)
     mean = sums.mean()
-    var = max((sums * sums).mean() - mean * mean, 0.0)
+    var = max(sums @ sums / sums.size - mean * mean, 0.0)
     return LbiStatistic(float(mean), method, score.family_label, z.size, float(math.sqrt(var / reps)))
 
 

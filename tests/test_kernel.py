@@ -70,6 +70,74 @@ class TestMomentKernel:
         assert a.std_error == pytest.approx(b.std_error, rel=1e-8)
 
 
+def _design_kappa(coeffs, a, b, w):
+    """The kernel coefficients from the whole (nodes x degree) design, as
+    they were computed before the node moments: the oracle of TestNodeMoments."""
+    table = univariate._binomial_table(coeffs)
+    d = table.shape[0]
+    design = (np.vander(a, d, increasing=True) @ table) * np.vander(b, d, increasing=True)
+    return w @ design, design
+
+
+_SCORES = {"hermite:3": score_hermite(3), "hermite:4": score_hermite(4),
+           "hermite:8": score_hermite(8), "gh:beta=1": score_gh_limit(1.0)}
+
+
+class TestNodeMoments:
+    """A polynomial kernel summed over blocks of nodes against the whole design."""
+
+    @pytest.mark.parametrize("label", list(_SCORES))
+    @pytest.mark.parametrize("rule", ["exact:5", "exact:20", "exact:2000", "mc:100000"])
+    def test_kappa_matches_the_design_product(self, label, rule):
+        score = _SCORES[label]
+        kind, size = rule.split(":")
+        kernel = (exact_kernel(score, int(size)) if kind == "exact"
+                  else mc_kernel(score, 20, int(size), 0))
+        ref, _ = _design_kappa(score.polynomial_coeffs, *kernel.nodes)
+        # at n = 2000 the exact rule's weights underflow (ROADMAP item 1): both are 0
+        assert np.max(np.abs(kernel.kappa - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_node_sums_match_the_design_product(self):
+        score = score_hermite(4)
+        kernel = mc_kernel(score, 20, 10**5, 0)
+        z = standardize(np.random.default_rng(11).standard_t(5, size=20))
+        _, design = _design_kappa(score.polynomial_coeffs, *kernel.nodes)
+        ref = design @ power_sums(z, 4)
+        assert np.max(np.abs(kernel.node_sums(z) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _traced_peak(fn):
+    """fn()'s peak of traced memory, in MiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """Kernel paths hold their nodes plus one block, not nodes x degree."""
+
+    def test_monte_carlo_kernel(self):
+        # 10^6 nodes: 99.2 MiB with the whole design
+        assert _traced_peak(lambda: mc_kernel(score_hermite(4), 20, 10**6, 0)) <= 40.0
+
+    def test_monte_carlo_statistic(self):
+        z = standardize(np.random.default_rng(12).normal(size=20))
+        assert _traced_peak(lambda: lbi_monte_carlo(z, score_hermite(4), 10**6, 0)) <= 40.0
+
+    def test_stable_kernel_table(self, stable_score0):
+        kernel = exact_kernel(stable_score0, 20)
+        # 2.3 MiB in blocks of 2^16 values
+        assert _traced_peak(lambda: kernel._table) <= 1.0
+
+    def test_stable_score_beyond_its_grid(self, stable_score0):
+        x = np.linspace(12.0, 30.0, 10**4)
+        # 5.9 MiB in phase blocks of 2^18
+        assert _traced_peak(lambda: stable_score0(x)) <= 4.0
+
+
 class TestClosedFormRange:
     def test_affine_to_exact_at_n_340(self):
         rng = np.random.default_rng(340)

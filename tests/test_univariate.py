@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lbinorm.calibration import calibrate_null, make_statistic
 from lbinorm.core import (
     FD_STEP,
     central_difference,
@@ -367,3 +368,46 @@ def test_quadrature_rule_built_once_per_n_and_config(monkeypatch):
     for cached, new in zip(rule, fresh):
         assert not cached.flags.writeable
         np.testing.assert_array_equal(cached, new)
+
+
+class TestOneSampleRefusals:
+    """The refusals that every one-sample form reaches through ``univariate._form``."""
+
+    @pytest.mark.parametrize("form", [
+        lambda z, score: lbi_exact(z, score),
+        lambda z, score: lbi_closed_form(z, score),
+        lambda z, score: lbi_laplace(z, score),
+        lambda z, score: lbi_monte_carlo(z, score, 2000, 0),
+    ], ids=["exact", "closed", "laplace", "mc"])
+    def test_two_points_are_refused(self, form):
+        # two standardized residuals are always -1 and 1; the closed form, the
+        # Laplace and the MC form returned 2.356, -4.0 and 0.167 here
+        with pytest.raises(ValueError, match=r"^need n >= 3$"):
+            form(np.array([-1.0, 1.0]), score_hermite(4))
+
+    def test_closed_form_without_coefficients_one_message(self, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a closed-form kernel was built")
+
+        monkeypatch.setattr(univariate, "closed_form_kernel", no_kernel)
+        z = standardize(np.random.default_rng(17).normal(size=6))
+        quartic = ScoreFunction(evaluate=lambda x: x**4, family_label="x4")
+        for build in (lambda: make_statistic("lbi-closed", score=quartic),
+                      lambda: lbi_closed_form(z, quartic)):
+            with pytest.raises(ValueError, match="^closed form needs polynomial coefficients$"):
+                build()
+
+    def test_a_finite_score_whose_sum_overflows(self):
+        rng = np.random.default_rng(24)
+        z = standardize(rng.normal(size=10))
+        huge = ScoreFunction(evaluate=lambda x: np.full_like(x, 1e308), family_label="huge")
+        spec = make_statistic("lbi-approx", score=huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScoreOverflow,
+                               match="^the sum of the score over the 10 points leaves the float range$"):
+                lbi_laplace(z, huge)
+            # the batch form sums alike: its inf null values are refused as such
+            assert np.all(spec.compute_batch(rng.normal(size=(3, 10))) == np.inf)
+            with pytest.raises(ScoreOverflow, match="10000 of 10000 null values at n = 10 are not finite"):
+                calibrate_null(spec, 10, 10_000, 0)
