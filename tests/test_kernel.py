@@ -94,7 +94,7 @@ class TestNodeMoments:
         kernel = (exact_kernel(score, int(size)) if kind == "exact"
                   else mc_kernel(score, 20, int(size), 0))
         ref, _ = _design_kappa(score.polynomial_coeffs, *kernel.nodes)
-        # at n = 2000 the exact rule's weights underflow (ROADMAP item 1): both are 0
+        # at n = 2000 the exact rule's unnormalized weights underflow: both are 0
         assert np.max(np.abs(kernel.kappa - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_node_sums_match_the_design_product(self):
