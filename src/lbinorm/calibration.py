@@ -22,8 +22,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .core import power_sums, replications, row_chunks, standardize
-# still importable from here under their old names
-from .core import BLOCK_SIZE, CHUNK, row_chunks as _row_chunks  # noqa: F401
 from .errors import IncompatibleSelection, ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 

@@ -1,17 +1,17 @@
 """Multivariate normality statistics and their triangular-moment oracles.
 
-``whiten`` maps an n x p sample to Cholesky-standardized rows with zero
-column sums and (1/n) Z'Z = I.  ``stat_gl`` is the fully linear-invariant
-fourth-moment statistic sum ||z_i||^4; ``stat_lt`` is the triangular-group
-statistic, which weights coordinates by their position and is therefore
-coordinate-order dependent by design.  All three also take a stack of
-samples, shape (..., n, p), in any memory layout, and work on each n x p
-sample of it in one numpy call; a single n x p sample gives a plain float
-statistic.  Their arithmetic runs coordinate-major: ``whiten`` centres and
-solves on one contiguous (..., p, n) copy and returns a (..., n, p) view
-of its result, and the statistics read that view back as p length-n rows,
-so every loop runs over the p coordinates and acts on whole rows, with no
-reduction over a length-p axis.  The moment functions and the Wishart
+``whiten`` maps an n x p sample by Gram-Schmidt on its centred columns to
+rows with zero column sums and (1/n) Z'Z = I.  ``stat_gl`` is the fully
+linear-invariant fourth-moment statistic sum ||z_i||^4; ``stat_lt`` is the
+triangular-group statistic, which weights coordinates by their position and
+is therefore coordinate-order dependent by design.  All three also take a
+stack of samples, shape (..., n, p), in any memory layout, and work on each
+n x p sample of it in one numpy call; a single n x p sample gives a plain
+float statistic.  Their arithmetic runs coordinate-major: ``whiten`` centres
+and orthogonalizes one contiguous (..., p, n) copy and returns a (..., n, p)
+view of its result, and the statistics read that view back as p length-n
+rows, so every loop runs over the p coordinates and acts on whole rows, with
+no reduction over a length-p axis.  The moment functions and the Wishart
 check back the triangular statistic with independent samplers.
 """
 
@@ -33,12 +33,14 @@ __all__ = [
 
 
 def whiten(X) -> np.ndarray:
-    """Cholesky standardization Z = (X - mean) (T')^{-1} with S = TT'.
+    """Gram-Schmidt standardization Z = (X - mean) (T')^{-1}, where S = TT'.
 
     ``X`` is one n x p sample or a stack (..., n, p) of them, in any memory
     layout; each sample is whitened on its own and ``X`` is never written.
-    The covariance uses the divisor n.  Requires n >= p + 2 and a positive
-    definite S for every sample; raises SingularCovariance otherwise.
+    Column j is centred, has its projections on columns 0..j-1 removed twice
+    and is scaled to norm sqrt(n): (1/n) Z'Z = I to rounding, and S is never
+    formed.  Requires n >= p + 2.  Raises SingularCovariance when a residual
+    norm is at most n * 2**-53 times the norm of its raw column.
 
     The arithmetic runs coordinate-major, on one contiguous (..., p, n)
     copy whose rows are whole coordinates; the result is a (..., n, p) view
@@ -48,21 +50,19 @@ def whiten(X) -> np.ndarray:
     p, n = Xt.shape[-2:]
     if n < p + 2:
         raise ValueError(f"need n >= p + 2, got n={n}, p={p}")
-    Dt = Xt.copy()  # C order: a copy, never a view of X
-    Dt -= Dt.mean(axis=-1, keepdims=True)
-    S = Dt @ np.swapaxes(Dt, -1, -2) / n
-    try:
-        T = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("sample covariance is not positive definite") from exc
-    # z_i = T^{-1} (x_i - xbar); row j of the lower-triangular L = T^{-1}
-    # from the rows before it (T L = I), then Z' = L D' in one product
-    L = np.zeros_like(T)
+    Zt = Xt.copy()  # C order: a copy, never a view of X
+    floor = n * 2.0**-53 * np.sqrt(np.einsum("...i,...i->...", Zt, Zt))
+    Zt -= Zt.mean(axis=-1, keepdims=True)
     for j in range(p):
-        L[..., j, :j] = -(T[..., j, None, :j] @ L[..., :j, :j])[..., 0, :]
-        L[..., j, j] = 1.0
-        L[..., j, :j + 1] /= T[..., j, j, None]
-    return np.swapaxes(L @ Dt, -1, -2)
+        r, Q = Zt[..., j, :], Zt[..., :j, :]  # the rows of Q are orthonormal
+        for _ in range(2 if j else 0):
+            r -= np.einsum("...k,...ki->...i", np.einsum("...ki,...i->...k", Q, r), Q)
+        norm = np.sqrt(np.einsum("...i,...i->...", r, r))
+        if not (norm > floor[..., j]).all():
+            raise SingularCovariance(f"column {j + 1} is constant or a combination of the ones before it")
+        r /= norm[..., None]
+    Zt *= math.sqrt(n)
+    return np.swapaxes(Zt, -1, -2)
 
 
 def _per_sample(total: np.ndarray) -> float | np.ndarray:

@@ -387,11 +387,13 @@ def profile_likelihood_statistic(z, h: ScoreFunction):
     a float for one sample, an array for a (m, n) batch.
 
     The derivative is the score's own where it has one (polynomial and
-    stable scores) and ``core.central_difference`` otherwise.
+    stable scores) and ``core.central_difference`` otherwise.  A sum beyond
+    the float range is inf or NaN, without numpy's warning; callers refuse it.
     """
     z = np.asarray(z, dtype=float)
     dv = np.asarray(h.derivative(z)) if h.derivative is not None else central_difference(h, z)
-    return np.sum(z * dv, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(z * dv, axis=-1)
 
 
 def skewness(z) -> float:

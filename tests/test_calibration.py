@@ -9,12 +9,9 @@ import numpy as np
 import pytest
 
 from lbinorm.calibration import (
-    BLOCK_SIZE,
-    CHUNK,
     AlternativeSpec,
     NullCalibration,
     StatisticSpec,
-    _row_chunks,
     _sample_gig,
     cache_path,
     calibrate_null,
@@ -27,7 +24,8 @@ from lbinorm.calibration import (
     sample_alternative,
     save_calibration,
 )
-from lbinorm.core import block_substreams, standardize, standardized_moment
+from lbinorm.core import BLOCK_SIZE, CHUNK, block_substreams, standardize, standardized_moment
+from lbinorm.core import row_chunks as _row_chunks
 from lbinorm.errors import (DegenerateSample, IncompatibleSelection, ScoreOverflow,
                             SingularCovariance, UnsupportedShape)
 from lbinorm.multivariate import stat_gl, stat_lt, whiten

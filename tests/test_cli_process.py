@@ -179,6 +179,41 @@ def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
     assert not list(tmp_path.glob("*.lbical"))
 
 
+
+def test_mvn_with_a_constant_column_exits_2_before_any_null(tmp_path, capsys):
+    # kurt refuses the x2 column alone with "zero sample variance"
+    X = np.random.default_rng(11).standard_normal((50, 2))
+    X[:, 1] = 0.3
+    data = tmp_path / "x.csv"
+    np.savetxt(data, X, delimiter=",", header="x1,x2", comments="")
+    for group in ("gl", "lt"):
+        assert main(["test", "--test", "mvn", "--group", group, "--input", str(data),
+                     "--seed", "1", "--calibration-cache", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: column 2 is constant or a combination of the ones before it\n"
+    assert not list(tmp_path.glob("*.lbical"))
+
+
+@pytest.mark.parametrize("group", ["gl", "lt"])
+def test_mvn_report_is_invariant_on_an_ill_conditioned_sample(tmp_path, group):
+    # X = Y M' + 3, with M unit lower triangular but for a last diagonal of
+    # 1e-6, is in both groups; the tolerance is perfbench's invariance check
+    rng = np.random.default_rng(12)
+    Y = rng.standard_normal((50, 5))
+    M = np.tril(rng.standard_normal((5, 5)), -1) + np.diag([1.0, 1.0, 1.0, 1.0, 1e-6])
+    reports = []
+    for name, data in (("y", Y), ("x", Y @ M.T + 3.0)):
+        path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        np.savetxt(path, data, delimiter=",")
+        assert main(["test", "--test", "mvn", "--group", group, "--input", str(path),
+                     "--seed", "3", "--reps", "2000", "--json", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    y, x = reports
+    assert x["value"] == pytest.approx(y["value"], rel=1e-9)
+    assert x["p_value"] == y["p_value"]
+
+
 def test_rounding_level_null_exits_2(tmp_path, capsys):
     # At n = 3 the kurtosis of the standardized sample is identically 1.5,
     # and the closed H4 form is affine in it: their nulls are rounding noise.

@@ -13,7 +13,6 @@ import pytest
 from lbinorm import stable, univariate
 
 from lbinorm.calibration import (
-    BLOCK_SIZE,
     AlternativeSpec,
     calibrate_null,
     closed_form_weights,
@@ -22,7 +21,7 @@ from lbinorm.calibration import (
     sample_alternative,
 )
 from lbinorm.cli import parse_score
-from lbinorm.core import power_sums, standardize
+from lbinorm.core import BLOCK_SIZE, power_sums, standardize
 from lbinorm.errors import QuadratureUnconverged, ScoreOverflow
 from lbinorm.scores import score_gh_limit, score_hermite
 from lbinorm.stable import InversionConfig, score_stable

@@ -192,6 +192,53 @@ class TestDegreesOfFreedomMapping:
             assert wrong != pytest.approx(stat_lt(Z), rel=1e-3)
 
 
+
+def _near_collinear(rng, n, p, noise):
+    """An n x p normal sample whose last column is the sum of the others plus noise."""
+    X = rng.standard_normal((n, p))
+    X[:, -1] = X[:, :-1].sum(axis=1) + noise * rng.standard_normal(n)
+    return X
+
+
+class TestIllConditioned:
+    """Gram-Schmidt whitening keeps (1/n) Z'Z = I and the group invariance
+    where the covariance is ill-conditioned, and refuses a constant column."""
+
+    @pytest.mark.parametrize("noise", [1e-4, 1e-6, 1e-8, 1e-9])
+    @pytest.mark.parametrize("p", [3, 5, 8])
+    def test_near_collinear_columns_stay_orthonormal(self, p, noise):
+        rng = np.random.default_rng(70 + p)
+        n = 50
+        one = whiten(_near_collinear(rng, n, p, noise))[None]
+        stack = whiten(np.stack([_near_collinear(rng, n, p, noise) for _ in range(6)]))
+        for Z in (one, stack):
+            gram = np.swapaxes(Z, -1, -2) @ Z / n
+            np.testing.assert_allclose(gram, np.broadcast_to(np.eye(p), gram.shape),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_triangular_map_with_a_tiny_diagonal(self, p):
+        # X = Y M' + 3, with M unit lower triangular but for a last diagonal
+        # of 1e-6: both groups contain the map, and cond(M) is ~1e6
+        for seed in range(10):
+            rng = np.random.default_rng(80 + seed)
+            Y = rng.standard_normal((50, p))
+            M = np.tril(rng.standard_normal((p, p)), -1) + np.diag([1.0] * (p - 1) + [1e-6])
+            X = Y @ M.T + 3.0
+            for fn in (stat_gl, stat_lt):
+                assert fn(whiten(X)) == pytest.approx(fn(whiten(Y)), rel=1e-9)
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, 1 / 3, 100000.1])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_a_constant_column_is_refused(self, value, column):
+        # the mean of such a column need not round to its value, so the
+        # centred column is rounding noise rather than 0, as in standardize
+        X = np.random.default_rng(90).standard_normal((50, 2))
+        X[:, column] = value
+        with pytest.raises(SingularCovariance, match=f"^column {column + 1} is constant "):
+            whiten(X)
+
+
 def test_whiten_matches_scipy_triangular_solve():
     rng = np.random.default_rng(8)
     for n, p in ((5, 3), (50, 3), (50, 5), (200, 8)):
@@ -275,8 +322,10 @@ class TestMemoryLayouts:
     @pytest.mark.parametrize("p", [3, 5, 8])
     def test_near_collinear_matches_scipy_triangular_solve(self, p):
         # integer columns of ~1e6, the last one their sum off by at most 1,
-        # and rows Y, -Y: the mean is 0 and D'D/n is exact, so whiten and
-        # the reference share S and T, and differ only in applying T^{-1}
+        # and rows Y, -Y: the mean is 0 exactly.  The reference is the
+        # Householder QR of X with R's diagonal made positive, as sqrt(n) Q
+        # = X R^{-1} sqrt(n) = X (T')^{-1}; a solve with the Cholesky factor
+        # of D'D/n would itself be off by ~eps cond(T)^2
         rng = np.random.default_rng(62 + p)
         Y = rng.integers(-10**6, 10**6, size=(8, p)).astype(float)
         Y[:, -1] = Y[:, :-1].sum(axis=1) + rng.integers(-1, 2, size=8)
@@ -284,7 +333,8 @@ class TestMemoryLayouts:
         T = np.linalg.cholesky(X.T @ X / X.shape[0])
         cond = np.linalg.cond(T)
         assert cond > 1e6
-        ref = solve_triangular(T, X.T, lower=True).T
+        Q, R = np.linalg.qr(X)
+        ref = math.sqrt(X.shape[0]) * Q * np.sign(np.diag(R))
         tol = p * np.finfo(float).eps * cond * np.max(np.abs(ref))
         np.testing.assert_allclose(whiten(X), ref, rtol=0.0, atol=tol)
         np.testing.assert_allclose(whiten(np.stack([X, X[::-1]]))[1], ref[::-1], rtol=0.0, atol=tol)

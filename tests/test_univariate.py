@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lbinorm.calibration import calibrate_null, make_statistic
+from lbinorm.calibration import calibrate_null, make_statistic, p_value
 from lbinorm.core import (
     FD_STEP,
     central_difference,
@@ -410,4 +410,22 @@ class TestOneSampleRefusals:
             # the batch form sums alike: its inf null values are refused as such
             assert np.all(spec.compute_batch(rng.normal(size=(3, 10))) == np.inf)
             with pytest.raises(ScoreOverflow, match="10000 of 10000 null values at n = 10 are not finite"):
+                calibrate_null(spec, 10, 10_000, 0)
+
+    def test_a_finite_derivative_whose_profile_sum_overflows(self):
+        # Σ z_i h'(z_i) leaves the float range: inf for this sample, and inf
+        # or NaN (terms of both signs overflow) in the null, both refused
+        rng = np.random.default_rng(24)
+        z = standardize(rng.normal(size=10))
+        huge = ScoreFunction(evaluate=lambda x: x, family_label="huge",
+                             derivative=lambda x: np.full_like(x, 1e308))
+        spec = make_statistic("profile", score=huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = profile_likelihood_statistic(z, huge)
+            assert value == np.inf
+            with pytest.raises(ScoreOverflow, match=r"^observed statistic is not finite \(inf\)$"):
+                p_value(calibrate_null(make_statistic("kurt"), 10, 10_000, 0), value)
+            with pytest.raises(ScoreOverflow, match=r"^profile\(huge\): \d+ of 10000 null values "
+                                                    "at n = 10 are not finite$"):
                 calibrate_null(spec, 10, 10_000, 0)
