@@ -179,7 +179,6 @@ def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
     assert not list(tmp_path.glob("*.lbical"))
 
 
-
 def test_mvn_with_a_constant_column_exits_2_before_any_null(tmp_path, capsys):
     # kurt refuses the x2 column alone with "zero sample variance"
     X = np.random.default_rng(11).standard_normal((50, 2))

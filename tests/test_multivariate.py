@@ -192,7 +192,6 @@ class TestDegreesOfFreedomMapping:
             assert wrong != pytest.approx(stat_lt(Z), rel=1e-3)
 
 
-
 def _near_collinear(rng, n, p, noise):
     """An n x p normal sample whose last column is the sum of the others plus noise."""
     X = rng.standard_normal((n, p))
@@ -323,9 +322,9 @@ class TestMemoryLayouts:
     def test_near_collinear_matches_scipy_triangular_solve(self, p):
         # integer columns of ~1e6, the last one their sum off by at most 1,
         # and rows Y, -Y: the mean is 0 exactly.  The reference is the
-        # Householder QR of X with R's diagonal made positive, as sqrt(n) Q
-        # = X R^{-1} sqrt(n) = X (T')^{-1}; a solve with the Cholesky factor
-        # of D'D/n would itself be off by ~eps cond(T)^2
+        # Householder QR of X with R's diagonal made positive: T' = R/sqrt(n),
+        # so X (T')^{-1} = sqrt(n) Q.  A solve with the Cholesky factor of
+        # D'D/n would itself be off by ~eps cond(T)^2
         rng = np.random.default_rng(62 + p)
         Y = rng.integers(-10**6, 10**6, size=(8, p)).astype(float)
         Y[:, -1] = Y[:, :-1].sum(axis=1) + rng.integers(-1, 2, size=8)
