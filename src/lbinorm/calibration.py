@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import power_sums, replications, row_chunks, standardize
+from .core import CHUNK, power_sums, replications, row_blocks, standardize
 from .errors import IncompatibleSelection, ScoreOverflow, UnsupportedShape
 from .multivariate import stat_gl, stat_lt, whiten
 
@@ -129,19 +129,17 @@ def closed_form_weights(coeffs: np.ndarray, n: int) -> dict:
 def _of_residuals(residual_fn: Callable, multivariate: bool = False) -> Callable:
     """compute_batch of a statistic of the residuals, the only evaluation path:
     every test is invariant under location and scale (or the GL/LT group), so
-    each ``row_chunks`` chunk of a raw batch is standardized (univariate) or
-    whitened (mvn) and ``residual_fn`` maps it to one value per sample."""
+    each ``core.row_blocks`` chunk of at most ``CHUNK`` values (a whole
+    ``core.replications`` chunk) of a raw batch is standardized (univariate)
+    or whitened (mvn) and ``residual_fn`` maps it to one value per sample."""
 
     def compute(x):
         x = np.asarray(x, dtype=float)
         if multivariate and (x.ndim != 3 or x.shape[2] < 1):
             raise ValueError("expected an n x p matrix")
         out = np.empty(x.shape[0])
-        lo = 0
-        for rows in row_chunks(x.shape[0], math.prod(x.shape[1:])):
-            chunk = x[lo:lo + rows]
-            out[lo:lo + rows] = residual_fn(whiten(chunk) if multivariate else standardize(chunk))
-            lo += rows
+        for rows in row_blocks(x.shape[0], math.prod(x.shape[1:]), CHUNK):
+            out[rows] = residual_fn(whiten(x[rows]) if multivariate else standardize(x[rows]))
         return out
 
     return compute
@@ -174,6 +172,8 @@ def check_score(name: str, score: ScoreFunction) -> None:
     the one-sample forms call it before any kernel or null is built."""
     if name == "lbi-closed" and score.polynomial_coeffs is None:
         raise ValueError("closed form needs polynomial coefficients")
+    if name == "lbi-closed" and len(score.polynomial_coeffs) - 1 > 8:
+        raise ValueError("polynomial degree must be <= 8")
 
 
 def make_statistic(

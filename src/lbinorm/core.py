@@ -15,11 +15,13 @@ from .errors import DegenerateSample, ScoreOverflow
 __all__ = [
     "BLOCK_SIZE",
     "CHUNK",
+    "BLOCK",
     "standardize",
     "standardized_moment",
     "power_sums",
     "block_substreams",
     "row_chunks",
+    "row_blocks",
     "replications",
     "central_difference",
     "not_a_knot_coefficients",
@@ -110,22 +112,38 @@ def block_substreams(key, reps: int, block_size: int):
 
 # At most this many values per array that a calibration or power run draws
 # and evaluates at once (one row at the least), so every temporary of the
-# samplers and statistics stays small however large n and reps are.
+# samplers and statistics stays small however large n and reps are.  It
+# fixes which values each chunk takes from its block's stream.
 CHUNK = 2**15
+# At most this many values per temporary of a kernel or score loop (one row
+# at the least; ``row_blocks``), read at each call.  No value computed point
+# by point depends on it; a sum over blocks of nodes moves in its last bits.
+BLOCK = 2**14
 
 
-def row_chunks(rows: int, row_values: int) -> list:
-    """Row counts of the fewest chunks of at most ``CHUNK`` values (one row
-    at the least) that ``rows`` rows of ``row_values`` values split into,
-    as equal as can be.
+def row_chunks(rows: int, row_values: int, limit: int | None = None) -> list:
+    """Row counts of the fewest chunks of at most ``limit`` values (``CHUNK``
+    by default; one row at the least) that ``rows`` rows of ``row_values``
+    values split into, as equal as can be.
 
     Equal chunks keep every chunk of a split block above ~CHUNK/2 values,
     so none falls to a kernel's direct-sum path for small calls
     (``univariate.TABLE_POINTS``), whose values differ in the last bits.
     """
-    per = max(1, CHUNK // max(1, row_values))
+    per = max(1, (limit or CHUNK) // max(1, row_values))
     k = -(-rows // per)
     return [rows // k + (i < rows % k) for i in range(k)]
+
+
+def row_blocks(rows: int, row_values: int, limit: int | None = None):
+    """Slices, in order, of the ``row_chunks`` of at most ``limit`` values
+    that ``rows`` rows split into; ``limit`` is ``BLOCK`` (read at each call)
+    by default.  The one loop by which every kernel and score bounds its
+    temporaries."""
+    lo = 0
+    for m in row_chunks(rows, row_values, limit or BLOCK):
+        yield slice(lo, lo + m)
+        lo += m
 
 
 def replications(key, reps: int, row_shape: tuple, draw):
@@ -188,22 +206,24 @@ def not_a_knot_coefficients(y: np.ndarray, step: float) -> np.ndarray:
     return np.stack([bend / step, (secant - s[:-1]) / step - bend, s[:-1], y[:-1]])
 
 
-def uniform_cubic(rows, half: float, step: float, x, beyond, chunk: int = 2**16) -> np.ndarray:
+def uniform_cubic(rows, half: float, step: float, x, beyond) -> np.ndarray:
     """A piecewise cubic on the uniform cells of [-half, half], at every point of x.
 
     ``rows`` hold one coefficient per cell, highest degree first: the four
     rows of ``not_a_knot_coefficients`` give the spline, the rows
     (3 c3, 2 c2, c1) its slope.  A point is evaluated by Horner in the
-    cell found by division (no search), ``chunk`` points at a time; the
-    points with |x| > half all go to one ``beyond(points)`` call.
+    cell found by division (no search), over ``row_blocks`` of at most
+    ``BLOCK`` points; the points with |x| > half all go to one
+    ``beyond(points)`` call.  Every value is computed on its own, so none
+    depends on the block size.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty_like(flat)
     cells = rows[0].size
     outside = []
-    for lo in range(0, flat.size, chunk):
-        xc = flat[lo:lo + chunk]
+    for block in row_blocks(flat.size, 1):
+        xc = flat[block]
         inside = np.abs(xc) <= half
         xs = np.where(inside, xc, 0.0)
         cell = ((xs + half) / step).astype(np.intp)
@@ -213,9 +233,9 @@ def uniform_cubic(rows, half: float, step: float, x, beyond, chunk: int = 2**16)
         for c in rows[1:]:
             val *= dx
             val += c.take(cell)
-        out[lo:lo + chunk] = val
+        out[block] = val
         if not inside.all():
-            outside.append(lo + np.flatnonzero(~inside))
+            outside.append(block.start + np.flatnonzero(~inside))
     if outside:
         idx = np.concatenate(outside)
         out[idx] = beyond(flat[idx])

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .core import central_difference, uniform_cubic
-from .core import not_a_knot_coefficients as _not_a_knot_coefficients
+from .core import central_difference, not_a_knot_coefficients, row_blocks, uniform_cubic
 from .errors import AlphaOne, InversionUnconverged
 from .scores import TAIL_SUBGAUSSIAN_DOMINATING, ScoreFunction, _normal_pdf
 
@@ -44,11 +43,6 @@ __all__ = [
     "score_stable",
     "normal_var2_pdf",
 ]
-
-# Points per chunk of a score evaluation: bounds its temporaries at any n.
-SCORE_CHUNK = 2**16
-# Elements of one (points x frequency nodes) phase block of the inversion.
-PHASE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -211,7 +205,8 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
     size are an arithmetic progression, summed by ``_progression_values``.
     Otherwise every sum runs over one point's nodes alone, so a value does
     not depend on the other points of the call, and the phase matrix is
-    built for at most ``PHASE_BLOCK`` (point, node) pairs at once.
+    built over ``core.row_blocks`` of points, at most ``core.BLOCK``
+    (point, node) pairs at once.
     """
     flat = x.ravel()
     ax, where = _unique(np.abs(flat))
@@ -227,13 +222,12 @@ def _inversion_values(x: np.ndarray, beta: float, cfg: InversionConfig, nodes: i
             even[first:stop], odd[first:stop] = _progression_values(
                 ax[first:stop], step, beta, (tt, w_cos, w_sin))
             continue
-        rows = max(1, PHASE_BLOCK // tt.size)
-        for lo in range(first, stop, rows):
-            hi = min(lo + rows, stop)
-            phase = np.outer(ax[lo:hi], tt)
-            even[lo:hi] = (1.0 / math.pi) * np.einsum("ij,j->i", np.cos(phase), w_cos)
+        for block in row_blocks(stop - first, tt.size):
+            points = slice(first + block.start, first + block.stop)
+            phase = np.outer(ax[points], tt)
+            even[points] = (1.0 / math.pi) * np.einsum("ij,j->i", np.cos(phase), w_cos)
             if beta != 0.0:
-                odd[lo:hi] = (beta / 2.0) * np.einsum("ij,j->i", np.sin(phase), w_sin)
+                odd[points] = (beta / 2.0) * np.einsum("ij,j->i", np.sin(phase), w_sin)
     return (even[where] + np.sign(flat) * odd[where]).reshape(x.shape)
 
 
@@ -320,7 +314,7 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
     half = cfg.grid_halfwidth
     grid, step = _score_grid(cfg)
     y = np.asarray(stable_density_derivative(grid, beta, cfg)) / normal_var2_pdf(grid)
-    coef = _not_a_knot_coefficients(y, step)
+    coef = not_a_knot_coefficients(y, step)
     slope = coef[:3] * np.array([[3.0], [2.0], [1.0]])
 
     def direct(x):
@@ -335,7 +329,7 @@ def score_stable(beta: float, cfg: InversionConfig | None = None) -> ScoreFuncti
 
     def on_grid(rows, beyond):
         def evaluate(x):
-            out = uniform_cubic(rows, half, step, x, beyond, SCORE_CHUNK)
+            out = uniform_cubic(rows, half, step, x, beyond)
             return float(out) if out.ndim == 0 else out
 
         return evaluate

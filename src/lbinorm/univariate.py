@@ -19,7 +19,7 @@ from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
 from .core import (central_difference, not_a_knot_coefficients, power_sums, replications,
-                   standardized_moment, uniform_cubic)
+                   row_blocks, standardized_moment, uniform_cubic)
 from .errors import QuadratureUnconverged, ScoreOverflow
 from .scores import ScoreFunction, _poly_score
 
@@ -46,9 +46,6 @@ TABLE_POINTS = 513
 TABLE_HALFWIDTH = 3.0
 # Extra grid points fitted past each end of the table (see LbiKernel._table).
 TABLE_MARGIN = 4
-# Values per block of the direct node sum's score calls, and of a polynomial
-# kernel's node moments and node sums: bounds their temporaries.
-NODE_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -107,26 +104,26 @@ class LbiKernel:
         return values.reshape(z.shape).sum(axis=1)
 
     def direct(self, x) -> np.ndarray:
-        """K_n at each point of a flat array by the direct node sum, at most
-        ``NODE_BLOCK`` values per score call.  A (point, node) pair whose
-        term is provably negligible (``_log_floor``) is not evaluated and
-        adds 0 to the sum."""
+        """K_n at each point of a flat array by the direct node sum, over
+        ``core.row_blocks`` of points, each filled in blocks of nodes where one
+        point's row of nodes is longer than ``core.BLOCK``: the score sees at
+        most ``BLOCK`` values per call.  Every point's row is summed whole, so
+        no value depends on the block size.  A (point, node) pair whose term is
+        provably negligible (``_log_floor``) is not evaluated and adds 0."""
         a, b, w = self.nodes
         floor = self._log_floor
-        out = np.zeros(x.size)
-        rows = max(1, NODE_BLOCK // a.size)
-        cols = min(a.size, NODE_BLOCK)
-        for lo in range(0, x.size, rows):
-            xs = x[lo:lo + rows, None]
-            for k in range(0, a.size, cols):
-                y = a[k:k + cols] + b[k:k + cols] * xs
+        out = np.empty(x.size)
+        for points in row_blocks(x.size, a.size):
+            vals = np.zeros((points.stop - points.start, a.size))
+            for k in row_blocks(a.size, vals.shape[0]):
+                y = a[k] + b[k] * x[points, None]
                 if floor is None:
-                    vals = self._score(y)
+                    vals[:, k] = self._score(y)
                 else:
-                    keep = self.score.log_bound(y) > floor[k:k + cols]
-                    vals = np.zeros_like(y)
-                    vals[keep] = self._score(y[keep])
-                out[lo:lo + rows] += (vals * w[k:k + cols]).sum(axis=1)
+                    keep = self.score.log_bound(y) > floor[k]
+                    vals[:, k][keep] = self._score(y[keep])
+            vals *= w
+            out[points] = vals.sum(axis=1)
         return out
 
     @functools.cached_property
@@ -167,23 +164,14 @@ class LbiKernel:
 
     def node_sums(self, z) -> np.ndarray:
         """sum_i l(a_k + b_k z_i) at every node k, for one sample z, over
-        blocks of nodes of at most ``NODE_BLOCK`` values each."""
+        ``core.row_blocks`` of nodes."""
         a, b, _ = self.nodes
         if self.kappa is not None:
             table, sums = _binomial_table(self.score.polynomial_coeffs), power_sums(z, self.kappa.size - 1)
-            width = self.kappa.size
-
-            def block(ak, bk):
-                return _poly_design(table, ak, bk) @ sums
-        else:
-            width = z.size
-
-            def block(ak, bk):
-                return self._score(ak[:, None] + bk[:, None] * z[None, :]).sum(axis=1)
         out = np.empty(a.size)
-        rows = max(1, NODE_BLOCK // width)
-        for lo in range(0, a.size, rows):
-            out[lo:lo + rows] = block(a[lo:lo + rows], b[lo:lo + rows])
+        for k in row_blocks(a.size, z.size if self.kappa is None else self.kappa.size):
+            out[k] = (self._score(a[k, None] + b[k, None] * z).sum(axis=1) if self.kappa is None
+                      else _poly_design(table, a[k], b[k]) @ sums)
         return out
 
     def _score(self, x) -> np.ndarray:
@@ -208,14 +196,12 @@ def _poly_design(table, a, b) -> np.ndarray:
 
 
 def _node_moments(a, b, w, d: int) -> np.ndarray:
-    """M[r, s] = sum_k w_k a_k^r b_k^s for r, s < d, summed over blocks of
-    nodes of at most ``NODE_BLOCK`` values each."""
+    """M[r, s] = sum_k w_k a_k^r b_k^s for r, s < d, summed over
+    ``core.row_blocks`` of nodes; the block size moves M in its last bits."""
     moments = np.zeros((d, d))
-    rows = max(1, NODE_BLOCK // d)
-    for lo in range(0, a.size, rows):
-        hi = lo + rows
-        moments += np.vander(a[lo:hi], d, increasing=True).T @ (
-            np.vander(b[lo:hi], d, increasing=True) * w[lo:hi, None])
+    for k in row_blocks(a.size, d):
+        moments += np.vander(a[k], d, increasing=True).T @ (
+            np.vander(b[k], d, increasing=True) * w[k, None])
     return moments
 
 
@@ -344,8 +330,6 @@ def lbi_closed_form(z, score) -> LbiStatistic:
     sequence, highest degree first."""
     if not isinstance(score, ScoreFunction):
         score = _poly_score(score, "poly")
-    if score.polynomial_coeffs is not None and len(score.polynomial_coeffs) - 1 > 8:
-        raise ValueError("polynomial degree must be <= 8")
     z = np.asarray(z, dtype=float)
     method, kernel = _form("lbi-closed", score, z.size)
     return LbiStatistic(float(kernel(z)[0]), method, score.family_label, z.size)
@@ -353,9 +337,9 @@ def lbi_closed_form(z, score) -> LbiStatistic:
 
 def score_sums(z, score: ScoreFunction) -> np.ndarray:
     """sum_i l(z_i) per row of a (m, n) batch, the Laplace form's kernel.  A
-    sum of finite values beyond the float range is inf, without numpy's
-    overflow warning; the caller refuses it."""
-    with np.errstate(over="ignore"):
+    sum of finite values beyond the float range is inf, or NaN where terms of
+    both signs overflow, without numpy's warning; the caller refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(score(z)).sum(axis=1)
 
 

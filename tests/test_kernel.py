@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lbinorm import stable, univariate
+from lbinorm import core, stable, univariate
 
 from lbinorm.calibration import (
     AlternativeSpec,
@@ -135,6 +135,50 @@ class TestKernelMemory:
         x = np.linspace(12.0, 30.0, 10**4)
         # 5.9 MiB in phase blocks of 2^18
         assert _traced_peak(lambda: stable_score0(x)) <= 4.0
+
+
+class TestBlockSize:
+    """core.BLOCK bounds the temporaries of every kernel and score loop and
+    nothing else: each value computed point by point is bit-identical under
+    any block size, and a sum over blocks of nodes moves in its last bits."""
+
+    POINTS = np.array([-3.3, -0.4, 1.7, 3.3])
+
+    @staticmethod
+    def _values(stable_score0):
+        z = standardize(np.random.default_rng(13).standard_t(5, size=20))
+        beyond = np.linspace(12.5, 30.0, 40) * (-1.0) ** np.arange(40)
+        contam = mc_kernel(parse_score("contam:normal-scale-2"), 20, 2000, 4)
+        exact = {label: exact_kernel(_SCORES[label], 20) for label in ("hermite:4", "gh:beta=1")}
+        identical = {
+            "stable score beyond its grid": stable_score0(beyond),
+            "stable kernel direct sum": exact_kernel(stable_score0, 20).direct(TestBlockSize.POINTS),
+            "exact kernel direct sum": exact["hermite:4"].direct(TestBlockSize.POINTS),
+            "mc contamination kernel direct sum": contam.direct(TestBlockSize.POINTS),
+            "mc contamination node sums": contam.node_sums(z),
+        }
+        close = {
+            **{f"kappa of the exact rule, {label}": k.kappa for label, k in exact.items()},
+            "mc node sums": mc_kernel(score_hermite(4), 20, 2000, 0).node_sums(z),
+        }
+        return identical, close
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_block_size_moves_no_value_beyond_rounding(self, block, stable_score0, monkeypatch):
+        identical, close = self._values(stable_score0)
+        monkeypatch.setattr(core, "BLOCK", block)
+        got_identical, got_close = self._values(stable_score0)
+        for name, ref in identical.items():
+            np.testing.assert_array_equal(got_identical[name], ref, err_msg=name)
+        for name, ref in close.items():
+            assert np.max(np.abs(got_close[name] - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+    def test_stable_kernel_table(self, stable_score0, monkeypatch):
+        # at a block of 7 the build makes ~770 000 score calls (17 s); its
+        # direct sums are checked at 7 above
+        ref = exact_kernel(stable_score0, 20)._table
+        monkeypatch.setattr(core, "BLOCK", 1000)
+        np.testing.assert_array_equal(exact_kernel(stable_score0, 20)._table, ref)
 
 
 class TestClosedFormRange:

@@ -13,7 +13,7 @@ from scipy.integrate import quad, simpson
 from scipy.interpolate import CubicSpline
 
 import lbinorm
-from lbinorm import stable
+from lbinorm import core, stable
 from lbinorm.errors import AlphaOne, InversionUnconverged
 from lbinorm.stable import (
     InversionConfig,
@@ -210,7 +210,7 @@ class TestGridEvaluation:
             return inner(xo, *args, **kwargs)
 
         monkeypatch.setattr(stable, "stable_density_derivative", counted)
-        monkeypatch.setattr(stable, "SCORE_CHUNK", 5)
+        monkeypatch.setattr(core, "BLOCK", 5)
         chunked = stable_score0(x)
         assert chunked.shape == x.shape
         assert calls == [int(np.sum(np.abs(x) > 12.0))]
@@ -357,7 +357,7 @@ class TestNotAKnotSpline:
         grid = np.linspace(-3.0, 3.0, npts)
         y = np.random.default_rng(npts).normal(size=npts)
         ref = CubicSpline(grid, y).c
-        got = stable._not_a_knot_coefficients(y, grid[1] - grid[0])
+        got = core.not_a_knot_coefficients(y, grid[1] - grid[0])
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref), axis=1, keepdims=True))
 

@@ -211,6 +211,19 @@ class TestLbiClosedForm:
         with pytest.raises(ValueError):
             lbi_closed_form(z, np.ones(10))
 
+    def test_degree_cap_in_make_statistic(self, monkeypatch):
+        # the statistic was built, and gave -13.39 on a 12-point sample
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a closed-form kernel was built")
+
+        monkeypatch.setattr(univariate, "closed_form_kernel", no_kernel)
+        deg9 = make_poly_score(np.ones(10), "deg9")
+        with pytest.raises(ValueError, match=r"^polynomial degree must be <= 8$"):
+            make_statistic("lbi-closed", score=deg9)
+        z = standardize(np.random.default_rng(15).normal(size=12))
+        with pytest.raises(ValueError, match=r"^polynomial degree must be <= 8$"):
+            lbi_closed_form(z, deg9)
+
     def test_score_without_coefficients_is_refused(self):
         z = standardize(np.random.default_rng(16).normal(size=6))
         quartic = ScoreFunction(evaluate=lambda x: x**4, family_label="x4")
@@ -410,6 +423,22 @@ class TestOneSampleRefusals:
             # the batch form sums alike: its inf null values are refused as such
             assert np.all(spec.compute_batch(rng.normal(size=(3, 10))) == np.inf)
             with pytest.raises(ScoreOverflow, match="10000 of 10000 null values at n = 10 are not finite"):
+                calibrate_null(spec, 10, 10_000, 0)
+
+    def test_a_finite_score_whose_sum_overflows_with_both_signs(self):
+        # inf - inf: numpy warned "invalid value encountered in reduce" first
+        rng = np.random.default_rng(25)
+        z = standardize(rng.normal(size=10))
+        huge = ScoreFunction(evaluate=lambda x: np.copysign(1e308, x), family_label="huge")
+        spec = make_statistic("lbi-approx", score=huge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(univariate.score_sums(np.repeat([[1.0, -1.0]], 4, axis=1), huge)[0])
+            with pytest.raises(ScoreOverflow,
+                               match="^the sum of the score over the 10 points leaves the float range$"):
+                lbi_laplace(z, huge)
+            with pytest.raises(ScoreOverflow, match=r"^lbi-approx\(huge\): \d+ of 10000 null values "
+                                                    "at n = 10 are not finite$"):
                 calibrate_null(spec, 10, 10_000, 0)
 
     def test_a_finite_derivative_whose_profile_sum_overflows(self):
