@@ -190,6 +190,8 @@ def make_statistic(
     lbi-closed, lbi-approx, lbi-mc, profile), which need ``score``.
     Multivariate: mvn with ``group`` in {gl, lt}.
     """
+    if score is not None and name in ("skew", "kurt", "mvn"):
+        raise ValueError(f"statistic '{name}' takes no score")
     if name in ("skew", "kurt"):
         k = 3 if name == "skew" else 4
         return StatisticSpec(name, 1, _of_residuals(lambda z: power_sums(z, k)[:, k] / z.shape[1]),
@@ -232,7 +234,9 @@ def calibrate_null(
         raise ValueError("reps must be >= 1000")
     if statistic.p > 0:
         p = statistic.p
-    shape = (n,) if p == 1 else (n, p)
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    shape = (n,) if statistic.p == 1 else (n, p)
     values = np.concatenate([
         statistic.compute_batch(x)
         for x in replications((seed,), reps, shape, lambda rng, size: rng.standard_normal(size))

@@ -210,6 +210,8 @@ def run_test(args) -> dict:
 
 
 def run_calibrate(args) -> Path:
+    if args.test == "mvn" and args.p < 2:
+        raise ValueError(f"--p must be >= 2 for --test mvn, got {args.p}")
     seed = _resolve_seed(args)
     stat, _ = _build_statistic(args)
     p = args.p if args.test == "mvn" else 1

@@ -262,19 +262,11 @@ def hermite(k: int, x):
 
 def hermite_coefficients(k: int) -> np.ndarray:
     """Coefficients of He_k, highest degree first (numpy polyval order)."""
+    from numpy.polynomial.hermite_e import herme2poly
+
     if k < 0:
         raise ValueError("order must be nonnegative")
-    c_prev = np.array([1.0])
-    if k == 0:
-        return c_prev
-    c = np.array([1.0, 0.0])
-    for j in range(1, k):
-        # He_{j+1} = x*He_j - j*He_{j-1}
-        nxt = np.zeros(j + 2)
-        nxt[:-1] += c
-        nxt[-len(c_prev):] -= j * c_prev
-        c, c_prev = nxt, c
-    return c
+    return herme2poly([0.0] * k + [1.0])[::-1]
 
 
 def coefficient_c(l: int, n: int) -> float:

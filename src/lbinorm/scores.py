@@ -90,9 +90,15 @@ def score_gh_limit(beta: float) -> ScoreFunction:
     """
     if not math.isfinite(beta):
         raise ValueError("beta must be finite")
-    coeffs = 0.125 * hermite_coefficients(4)
-    coeffs[1:] += 0.5 * beta * hermite_coefficients(3)
+    coeffs = np.polyadd(0.125 * hermite_coefficients(4), 0.5 * beta * hermite_coefficients(3))
     return _poly_score(coeffs, f"gh:beta={beta:g}")
+
+
+def _check_cumulants(kappa3: float, kappa4: float) -> None:
+    if not (math.isfinite(kappa3) and math.isfinite(kappa4)):
+        raise ValueError("kappa3 and kappa4 must be finite")
+    if kappa3 == 0.0 and kappa4 == 0.0:
+        raise BothCumulantsZero("kappa3 and kappa4 both zero")
 
 
 def score_infinitely_divisible(kappa3: float, kappa4: float) -> ScoreFunction:
@@ -102,10 +108,7 @@ def score_infinitely_divisible(kappa3: float, kappa4: float) -> ScoreFunction:
     (kappa4/24) He_4.  The blend of both is available separately via
     ``score_edgeworth_combined`` but is not the canonical leading term.
     """
-    if not (math.isfinite(kappa3) and math.isfinite(kappa4)):
-        raise ValueError("kappa3 and kappa4 must be finite")
-    if kappa3 == 0.0 and kappa4 == 0.0:
-        raise BothCumulantsZero("kappa3 and kappa4 both zero")
+    _check_cumulants(kappa3, kappa4)
     if kappa3 != 0.0:
         coeffs = (kappa3 / 6.0) * hermite_coefficients(3)
         return _poly_score(coeffs, f"id:kappa3={kappa3:g}")
@@ -119,10 +122,8 @@ def score_edgeworth_combined(kappa3: float, kappa4: float) -> ScoreFunction:
     Provided for experimentation; the leading-order direction used by the
     canonical constructor keeps only one term.
     """
-    if not (math.isfinite(kappa3) and math.isfinite(kappa4)):
-        raise ValueError("kappa3 and kappa4 must be finite")
-    if kappa3 == 0.0 and kappa4 == 0.0:
-        raise BothCumulantsZero("kappa3 and kappa4 both zero")
+    _check_cumulants(kappa3, kappa4)
+    # accumulated into zeros, not np.polyadd: that would give -0.0 where one term is 0
     coeffs = np.zeros(5)
     coeffs += (kappa4 / 24.0) * hermite_coefficients(4)
     coeffs[1:] += (kappa3 / 6.0) * hermite_coefficients(3)
@@ -204,15 +205,7 @@ def orthogonalize(score: ScoreFunction) -> ScoreFunction:
     # c2 multiplies He_2 = x^2 - 1 with E[He_2^2] = 2
     c2 = c2 / 2.0
     if score.polynomial_coeffs is not None:
-        coeffs = np.array(score.polynomial_coeffs, dtype=float)
-        proj = np.zeros(3)  # c2 x^2 + c1 x + (c0 - c2)
-        proj[0] = c2
-        proj[1] = c1
-        proj[2] = c0 - c2
-        k = max(coeffs.size, 3)
-        out = np.zeros(k)
-        out[-coeffs.size:] = coeffs
-        out[-3:] -= proj
+        out = np.polysub(score.polynomial_coeffs, [c2, c1, c0 - c2])
         return _poly_score(out, score.family_label + "|orth")
 
     def evaluate(x, _f=score.evaluate, _c=(c0, c1, c2)):

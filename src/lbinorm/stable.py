@@ -119,7 +119,7 @@ def _panel_edges(max_abs_x: float, cfg: InversionConfig, nodes: int) -> np.ndarr
     edges = [0.0]
     e = 2.0**-16
     while e < 1.0 - 1e-15:
-        step = (e if e < 0.5 else 1.0 - e) / refine
+        step = e / refine
         for j in range(1, refine + 1):
             edges.append(e + j * step)
         e *= 2.0

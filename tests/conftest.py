@@ -3,10 +3,9 @@
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from lbinorm.scores import ScoreFunction
+from lbinorm.scores import _poly_score
 from lbinorm.stable import score_stable
 
 # pytest's ``pythonpath`` setting reaches only this process: a subprocess that
@@ -18,14 +17,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 def make_poly_score(coeffs, label="poly"):
     """A ScoreFunction for explicit polynomial coefficients (highest first)."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    d = np.polyder(c) if c.size > 1 else np.array([0.0])
-    return ScoreFunction(
-        evaluate=lambda x, _c=c: np.polyval(_c, x),
-        family_label=label,
-        polynomial_coeffs=tuple(c.tolist()),
-        derivative=lambda x, _d=d: np.polyval(_d, x),
-    )
+    return _poly_score(coeffs, label)
 
 
 @pytest.fixture(scope="session")

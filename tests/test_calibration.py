@@ -86,6 +86,12 @@ class TestMakeStatistic:
         with pytest.raises(ValueError):
             make_statistic("lbi-approx")
 
+    @pytest.mark.parametrize("name", ["skew", "kurt", "mvn"])
+    def test_statistic_without_a_score_refuses_one(self, name):
+        # it returned the plain statistic, label and empty fingerprint alike
+        with pytest.raises(ValueError, match=f"^statistic '{name}' takes no score$"):
+            make_statistic(name, score=score_hermite(4))
+
     @pytest.mark.parametrize("name", ["skew", "kurt", "lbi-closed", "lbi-approx", "profile"])
     def test_constant_sample_in_batch_raises(self, name):
         x = np.random.default_rng(6).normal(size=(4, 12))
@@ -128,6 +134,20 @@ class TestCalibrateNull:
         assert cal.low_reps
         with pytest.raises(ValueError):
             calibrate_null(make_statistic("skew"), 8, 500, seed=3)
+
+    def test_mvn_at_one_column_is_n_times_kurtosis(self):
+        # the same (n, 1) draws as kurt's (n,): sum z^4 = n times the kurtosis
+        n = 20
+        gl = calibrate_null(make_statistic("mvn", group="gl"), n, 10_000, seed=5, p=1)
+        kurt = calibrate_null(make_statistic("kurt"), n, 10_000, seed=5)
+        assert gl.p == 1
+        np.testing.assert_allclose(gl.sorted_null_values, n * kurt.sorted_null_values,
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_no_columns_refused(self, p):
+        with pytest.raises(ValueError, match=f"^p must be >= 1, got {p}$"):
+            calibrate_null(make_statistic("mvn"), 20, 10_000, seed=5, p=p)
 
     def test_critical_values_are_empirical_quantiles(self):
         cal = calibrate_null(make_statistic("kurt"), 10, 20_000, seed=4)

@@ -282,6 +282,17 @@ class TestRunCalibrate:
         assert path1 == path2
         assert open(path2, "rb").read() == first
 
+    @pytest.mark.parametrize("p", ["1", "0", "-2"])
+    def test_mvn_needs_two_columns(self, tmp_path, capsys, p):
+        # refused before the seed: --reproducible without --seed gets this error
+        for seed in (["--seed", "1"], ["--reproducible"]):
+            assert main(["calibrate", "--test", "mvn", "--n", "20", "--p", p, "--reps", "1000",
+                         *seed, "--calibration-cache", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --p must be >= 2 for --test mvn, got {p}\n"
+        assert not list(tmp_path.glob("*.lbical"))
+
     def test_test_command_reuses_cache(self, uni_csv, tmp_path):
         cache = tmp_path / "cache"
         argv = [

@@ -172,10 +172,12 @@ def test_mvn_on_a_univariate_batch_exits_2_at_once(tmp_path, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        # power has no multivariate samplers, and says so before it draws a null
+        # power has no multivariate samplers, and says so before it draws a null;
+        # calibrate names --p, where it used to exit with numpy's words
+        p = argv[argv.index("--p") + 1] if "--p" in argv else None
         assert captured.err == ("error: power has no multivariate alternatives yet; --test mvn "
                                 "runs with test and calibrate only\n" if argv[0] == "power"
-                                else "error: expected an n x p matrix\n")
+                                else f"error: --p must be >= 2 for --test mvn, got {p}\n")
     assert not list(tmp_path.glob("*.lbical"))
 
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lbinorm.calibration import calibrate_null, make_statistic, p_value
+from lbinorm.calibration import LBI_FORMS, calibrate_null, make_statistic, p_value
 from lbinorm.core import (
     FD_STEP,
     central_difference,
@@ -458,3 +458,38 @@ class TestOneSampleRefusals:
             with pytest.raises(ScoreOverflow, match=r"^profile\(huge\): \d+ of 10000 null values "
                                                     "at n = 10 are not finite$"):
                 calibrate_null(spec, 10, 10_000, 0)
+
+
+class TestAffineInvarianceGrid:
+    """The first check of the contract grid: every statistic on one t5 sample
+    at n = 20 is finite and unchanged under x -> 3 + 2x."""
+
+    @pytest.fixture(scope="class")
+    def grid_scores(self, stable_score0):
+        return {"hermite:4": score_hermite(4), "gh:beta=1": score_gh_limit(1.0),
+                "stable:beta=0": stable_score0,
+                "contam:laplace-unit": score_contamination(
+                    builtin_contaminations()["laplace-unit"], label="contam:laplace-unit")}
+
+    def test_grid(self, grid_scores):
+        # a sample where no value is a cancellation near 0: at seed 27 the closed
+        # form with gh:beta=1 read -3.5e-8 from two terms of 8.1e-5, and moved by
+        # 1.0e-12 of itself (4.5e-16 of its terms)
+        x = np.random.default_rng(5).standard_t(5, size=20)
+        specs = {name: make_statistic(name) for name in ("skew", "kurt")}
+        for form in LBI_FORMS:
+            for label, score in grid_scores.items():
+                if form == "lbi-closed" and score.polynomial_coeffs is None:
+                    with pytest.raises(ValueError,
+                                       match="^closed form needs polynomial coefficients$"):
+                        make_statistic(form, score=score)
+                    continue
+                specs[form, label] = make_statistic(form, score=score)
+        assert len(specs) == 2 + 5 * 4 - 2
+        for key, spec in specs.items():
+            value, moved = spec.compute(x), spec.compute(3.0 + 2.0 * x)
+            assert math.isfinite(value), key
+            # profile's central difference scales the contamination score's
+            # rounding by 1/(2 FD_STEP)
+            rtol = 1e-9 if key == ("profile", "contam:laplace-unit") else 1e-12
+            assert moved == pytest.approx(value, rel=rtol, abs=0.0), key
