@@ -13,6 +13,7 @@ file first -- pays only for the modules its command uses.
 import importlib
 
 _EXPORTS = {
+    "alternatives": ("power_curve", "sample_alternative"),
     "calibration": (
         "AlternativeSpec",
         "NullCalibration",
@@ -20,8 +21,6 @@ _EXPORTS = {
         "calibrate_null",
         "make_statistic",
         "p_value",
-        "power_curve",
-        "sample_alternative",
     ),
     "core": (
         "coefficient_c",

@@ -5,16 +5,23 @@ missing file), 3 numerical failure (``errors.NumericalError``).
 
 A process loads only what its command runs: ``scores`` when a score is
 parsed, ``stable`` for a ``stable:`` score, ``univariate`` (through
-``calibration``) for a score-based statistic.
+``calibration``) for a score-based statistic, ``multivariate`` for ``mvn``
+and ``alternatives`` for ``power``.
 """
 
 from __future__ import annotations
+
+import gc
+
+# Run as a script, import with the cycle collector off: the ~33 collections
+# of numpy's and lbinorm's imports reclaim next to nothing.  entry() turns it on.
+if __name__ == "__main__":
+    gc.disable()
 
 import argparse
 import contextlib
 import csv
 import ctypes
-import gc
 import json
 import math
 import sys
@@ -346,14 +353,17 @@ def main(argv=None) -> int:
 def entry() -> None:
     """Process entry of ``lbinorm`` and ``python -m lbinorm.cli``.
 
-    Prints each warning as one ``warning: <message>`` line, and freezes
-    every object left once ``main`` returns: the interpreter's shutdown
-    then skips its final cycle-collection sweep over them (~20 ms of numpy
-    and lbinorm objects), which would reclaim nothing the ending process
-    needs.  Exit handlers and stream flushes run as usual.  Not part of
-    ``main``, which tests and embedding programs call in-process.
+    Prints each warning as one ``warning: <message>`` line.  Freezes every
+    object the imports left, so that the collections of ``main`` skip them,
+    and turns the cycle collector on.  Freezes again once ``main`` returns:
+    the interpreter's shutdown then skips its final cycle-collection sweep
+    (~20 ms of numpy and lbinorm objects), which would reclaim nothing the
+    ending process needs.  Exit handlers and stream flushes run as usual.
+    Not part of ``main``, which tests and embedding programs call in-process.
     """
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
+    gc.freeze()
+    gc.enable()
     code = main()
     gc.freeze()
     sys.exit(code)

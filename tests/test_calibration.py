@@ -13,6 +13,7 @@ from lbinorm.calibration import (
     NullCalibration,
     StatisticSpec,
     _sample_gig,
+    _sample_stable_m,
     cache_path,
     calibrate_null,
     check_alternative,
@@ -234,6 +235,50 @@ class TestSampleAlternative:
                      AlternativeSpec("gh-variance-mean", 1e-3), AlternativeSpec("student-t", 3.0)):
             assert check_alternative(spec) is None
             assert np.all(np.isfinite(sample_alternative(spec, 5, np.random.default_rng(13))))
+
+
+def _stable_m_reference(alpha, beta, size, rng):
+    """``_sample_stable_m`` as one expression: the oracle of the in-place draw."""
+    if alpha == 2.0:
+        return rng.normal(0.0, math.sqrt(2.0), size=size)
+    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+    w = rng.exponential(1.0, size=size)
+    tan_half = math.tan(math.pi * alpha / 2.0)
+    b0 = math.atan(beta * tan_half) / alpha
+    s0 = (1.0 + beta * beta * tan_half * tan_half) ** (1.0 / (2.0 * alpha))
+    x = (
+        s0
+        * np.sin(alpha * (u + b0))
+        / np.cos(u) ** (1.0 / alpha)
+        * (np.cos(u - alpha * (u + b0)) / w) ** ((1.0 - alpha) / alpha)
+    )
+    return x - beta * tan_half
+
+
+class TestStableSampler:
+    """The Chambers-Mallows-Stuck draw against its one-expression form."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9, 2.0])
+    @pytest.mark.parametrize("beta", [-1.0, -0.3, 0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("size", [7, (100, 20)])
+    def test_bit_identical_to_reference(self, alpha, beta, size):
+        ref_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+        expected = _stable_m_reference(alpha, beta, size, ref_rng)
+        got = _sample_stable_m(alpha, beta, size, rng)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        # both consumed the same draws
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_stable_draws_unchanged(self):
+        # the first draws of this seed when the sampler was one expression
+        x = sample_alternative(AlternativeSpec("stable", 0.5, beta=0.5), 20,
+                               np.random.default_rng(11), size=(3, 20))
+        np.testing.assert_array_equal(x[0, :6], [
+            -0.2756724148833247, 0.019561882422688526, 0.5140684381545743,
+            -2.1418895570831453, -1.5813256809024985, 1.8167810844535106,
+        ])
 
 
 class TestGigSampler:

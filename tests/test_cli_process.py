@@ -247,7 +247,8 @@ def test_non_finite_power_value_exits_3(capsys):
     assert captured.err.count("\n") == 1
 
 
-_WATCHED = ("lbinorm.scores", "lbinorm.stable", "lbinorm.univariate", "numpy.polynomial")
+_WATCHED = ("lbinorm.alternatives", "lbinorm.multivariate", "lbinorm.scores", "lbinorm.stable",
+            "lbinorm.univariate", "numpy.polynomial")
 
 
 def _loaded_by(argv):
@@ -292,6 +293,40 @@ def test_mvn_commands_load_no_score_module(samples, tmp_path):
         code, loaded = _loaded_by(argv)
         assert code == 0
         assert not {"lbinorm.scores", "lbinorm.stable", "lbinorm.univariate"} & set(loaded)
+
+
+def test_moment_calibration_loads_no_sampler_or_multivariate_module(tmp_path):
+    assert _loaded_by(["calibrate", "--test", "kurt", "--n", "15", "--seed", "1",
+                       "--reps", "1000", "--calibration-cache", str(tmp_path)]) == (0, [])
+    assert list(tmp_path.glob("*.lbical"))
+
+
+def test_mvn_commands_load_multivariate_but_no_sampler(samples, tmp_path):
+    _, multi = samples
+    common = ["--test", "mvn", "--group", "lt", "--seed", "1", "--reps", "1000"]
+    for argv in (["test", "--input", str(multi), *common, "--json", os.devnull],
+                 ["calibrate", "--p", "3", "--n", "15", *common,
+                  "--calibration-cache", str(tmp_path)]):
+        code, loaded = _loaded_by(argv)
+        assert code == 0
+        assert "lbinorm.multivariate" in loaded and "lbinorm.alternatives" not in loaded
+
+
+def test_power_loads_the_samplers_but_no_multivariate_module(tmp_path):
+    out = tmp_path / "power.csv"
+    code, loaded = _loaded_by(["power", "--test", "kurt", "--n", "15", "--family", "laplace",
+                               "--shapes", "0,0.5", "--reps", "1000", "--power-reps", "100",
+                               "--seed", "1", "--out", str(out)])
+    assert code == 0 and out.read_text().startswith("shape,power,se")
+    assert "lbinorm.alternatives" in loaded and "lbinorm.multivariate" not in loaded
+
+
+def test_refused_mvn_power_loads_neither_module(tmp_path):
+    code, loaded = _loaded_by(["power", "--test", "mvn", "--n", "15", "--family", "laplace",
+                               "--shapes", "0", "--reps", "1000", "--seed", "1",
+                               "--calibration-cache", str(tmp_path)])
+    assert code == 2
+    assert not {"lbinorm.alternatives", "lbinorm.multivariate"} & set(loaded)
 
 
 def test_polynomial_score_loads_no_stable_module(samples):
@@ -421,6 +456,37 @@ def test_process_entry_exits_with_main_code_after_freezing():
     proc = _python(["-c", script])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["3", "True"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_library_import_leaves_the_collector_as_it_was(enabled):
+    script = (f"import gc\n{'' if enabled else 'gc.disable()'}\n"
+              "import lbinorm.cli\n"
+              "print(gc.isenabled())")
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(enabled)]
+
+
+def test_module_run_imports_without_collecting_and_runs_main_collecting(tmp_path):
+    # the collections before main runs, and the collector's state when it does
+    script = ("import argparse, gc, json, runpy, sys\n"
+              "collections, seen = [], []\n"
+              "gc.callbacks.append(lambda phase, info: collections.append(phase))\n"
+              "parse = argparse.ArgumentParser.parse_args\n"
+              "def spy(*args, **kwargs):\n"
+              "    seen.append([len(collections), gc.isenabled(), gc.get_freeze_count() > 0])\n"
+              "    return parse(*args, **kwargs)\n"
+              "argparse.ArgumentParser.parse_args = spy\n"
+              "sys.argv = ['lbinorm', 'calibrate', '--test', 'kurt', '--n', '15', '--seed', '1',\n"
+              f"            '--reps', '1000', '--calibration-cache', {str(tmp_path)!r}]\n"
+              "try:\n"
+              "    runpy.run_module('lbinorm.cli', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as exc:\n"
+              "    print(json.dumps([exc.code, *seen]))")
+    proc = _python(["-W", "ignore", "-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [0, True, True]]
 
 
 def test_module_run_writes_the_whole_report(samples):
