@@ -469,10 +469,14 @@ def test_library_import_leaves_the_collector_as_it_was(enabled):
 
 
 def test_module_run_imports_without_collecting_and_runs_main_collecting(tmp_path):
-    # the collections before main runs, and the collector's state when it does
+    # the collections from numpy's import until main runs, and the collector's
+    # state when it does
     script = ("import argparse, gc, json, runpy, sys\n"
               "collections, seen = [], []\n"
-              "gc.callbacks.append(lambda phase, info: collections.append(phase))\n"
+              "def count(phase, info):\n"
+              "    if phase == 'start' and 'numpy' in sys.modules:\n"
+              "        collections.append(info['generation'])\n"
+              "gc.callbacks.append(count)\n"
               "parse = argparse.ArgumentParser.parse_args\n"
               "def spy(*args, **kwargs):\n"
               "    seen.append([len(collections), gc.isenabled(), gc.get_freeze_count() > 0])\n"
