@@ -240,6 +240,8 @@ def calibrate_null(
     """
     if reps < 1000:
         raise ValueError("reps must be >= 1000")
+    if n < 3:
+        raise ValueError(f"need at least 3 observations, got {n}")
     if statistic.p > 0:
         p = statistic.p
     if p < 1:
@@ -347,9 +349,10 @@ def load_calibration(path, statistic_label: str, fingerprint: str = "") -> NullC
         raise ValueError("not a calibration cache file")
     if lhash != _label_hash(statistic_label, fingerprint):
         raise ValueError("cache belongs to a different statistic")
+    if len(raw) - head != 8 * reps:
+        raise ValueError(f"{path}: cache payload holds {len(raw) - head} bytes, "
+                         f"not the {8 * reps} of {reps} float64 values")
     values = np.frombuffer(raw[head:], dtype="<f8")
-    if values.size != reps:
-        raise ValueError("cache truncated")
     return NullCalibration(
         statistic_label=statistic_label,
         n=n,

@@ -1,7 +1,8 @@
 """Command-line front end: CSV in, JSON report or CSV power table out.
 
-Exit codes: 0 success, 2 input error (any other LbinormError, ValueError or
-missing file), 3 numerical failure (``errors.NumericalError``).
+Exit codes: 0 success, 2 input error (any other ``LbinormError``, a
+``ValueError``, or an ``OSError`` from a path argument), 3 numerical failure
+(``errors.NumericalError``).
 
 A process loads only what its command runs: ``scores`` when a score is
 parsed, ``stable`` for a ``stable:`` score, ``univariate`` (through
@@ -96,11 +97,15 @@ def parse_score(spec: str, inversion_cfg: InversionConfig | None = None) -> Scor
 def read_csv(path) -> np.ndarray:
     """Read a numeric CSV; a non-numeric first row is treated as a header.
 
-    A cell that parses to a non-finite number (nan, inf) is a ParseError.
+    A file that does not decode, or a cell that parses to a non-finite
+    number (nan, inf), is a ParseError.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    try:
+        with path.open(newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: empty file")
     start = 0
@@ -217,6 +222,8 @@ def run_test(args) -> dict:
 
 
 def run_calibrate(args) -> Path:
+    if not args.calibration_cache:
+        raise ValueError("calibrate requires --calibration-cache")
     if args.test == "mvn" and args.p < 2:
         raise ValueError(f"--p must be >= 2 for --test mvn, got {args.p}")
     seed = _resolve_seed(args)
@@ -286,12 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(t)
     t.add_argument("--input", required=True)
     t.add_argument("--json", default=None, help="write the report here instead of stdout")
+    t.set_defaults(run=run_test)
 
     c = sub.add_parser("calibrate", help="build and cache a null calibration")
     common(c)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--p", type=int, default=2, help="dimension for --test mvn")
-    c.set_defaults(calibration_cache=".")
+    c.set_defaults(calibration_cache=".", run=run_calibrate)
 
     w = sub.add_parser("power", help="empirical power over a shape grid")
     common(w)
@@ -302,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--family-beta", type=float, default=0.0)
     w.add_argument("--power-reps", type=int, default=10_000)
     w.add_argument("--out", default=None, help="write the power table to this CSV")
+    w.set_defaults(run=run_power)
     return parser
 
 
@@ -330,23 +339,12 @@ def _keep_chunk_pages() -> None:
 
 def main(argv=None) -> int:
     _keep_chunk_pages()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "test":
-            run_test(args)
-        elif args.command == "calibrate":
-            if not args.calibration_cache:
-                raise ValueError("calibrate requires --calibration-cache")
-            run_calibrate(args)
-        elif args.command == "power":
-            run_power(args)
-    except NumericalError as exc:
+        args.run(args)
+    except (LbinormError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (LbinormError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
     return 0
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,14 @@ class TestMakeStatistic:
         with pytest.raises(ValueError, match=f"^statistic '{name}' takes no score$"):
             make_statistic(name, score=score_hermite(4))
 
+    @pytest.mark.parametrize("name, kwargs, message", [
+        ("mvn", {"group": "x"}, "group must be 'gl' or 'lt'"),
+        ("nope", {"score": score_hermite(4)}, "unknown statistic 'nope'"),
+    ])
+    def test_unknown_name_or_group_refused(self, name, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_statistic(name, **kwargs)
+
     @pytest.mark.parametrize("name", ["skew", "kurt", "lbi-closed", "lbi-approx", "profile"])
     def test_constant_sample_in_batch_raises(self, name):
         x = np.random.default_rng(6).normal(size=(4, 12))
@@ -149,6 +158,18 @@ class TestCalibrateNull:
     def test_no_columns_refused(self, p):
         with pytest.raises(ValueError, match=f"^p must be >= 1, got {p}$"):
             calibrate_null(make_statistic("mvn"), 20, 10_000, seed=5, p=p)
+
+    @pytest.mark.parametrize("name", ["kurt", "mvn"])
+    @pytest.mark.parametrize("n", [-5, 0, 2])
+    def test_fewer_than_three_observations_refused(self, name, n):
+        with pytest.raises(ValueError, match=f"^need at least 3 observations, got {n}$"):
+            calibrate_null(make_statistic(name), n, 10_000, seed=5)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, math.nan])
+    def test_critical_value_level_outside_unit_interval(self, level):
+        cal = NullCalibration("kurt", 10, 1, 1000, 1, np.linspace(1.0, 2.0, 1000))
+        with pytest.raises(ValueError, match=r"^level must be in \(0, 1\)$"):
+            cal.critical_value(level)
 
     def test_critical_values_are_empirical_quantiles(self):
         cal = calibrate_null(make_statistic("kurt"), 10, 20_000, seed=4)
@@ -381,6 +402,29 @@ class TestCache:
         path = save_calibration(cal, tmp_path / "c.lbical")
         with pytest.raises(ValueError):
             load_calibration(path, "kurt")
+
+    @pytest.mark.parametrize("offset, byte", [(0, b"X"), (7, b"\x01")], ids=["magic", "version"])
+    def test_another_magic_or_version_is_not_a_cache(self, tmp_path, offset, byte):
+        cal = calibrate_null(make_statistic("skew"), 9, 20_000, seed=30)
+        path = save_calibration(cal, tmp_path / "c.lbical")
+        raw = bytearray(path.read_bytes())
+        raw[offset:offset + 1] = byte
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="^not a calibration cache file$"):
+            load_calibration(path, cal.statistic_label)
+
+    @pytest.mark.parametrize("change", [-3, -8, 8])
+    def test_payload_of_another_size_names_the_file(self, tmp_path, change):
+        # 3 bytes short got numpy's "buffer size must be a multiple of element
+        # size", which named no file
+        cal = calibrate_null(make_statistic("skew"), 9, 20_000, seed=30)
+        path = save_calibration(cal, tmp_path / "c.lbical")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:change] if change < 0 else raw + bytes(change))
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: cache payload holds {160_000 + change} bytes, "
+                "not the 160000 of 20000 float64 values$")):
+            load_calibration(path, cal.statistic_label)
 
     @pytest.mark.parametrize("reps, low", [(2000, True), (20_000, False)])
     def test_low_reps_read_back_from_the_cache(self, tmp_path, reps, low):

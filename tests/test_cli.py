@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: parsing, reports, exit codes, caching, power."""
 
 import csv
+import errno
 import inspect
 import io
 import json
+import os
+import re
 from importlib import resources
 
 import jsonschema
@@ -84,6 +87,7 @@ class TestParseScore:
         ("id:kappa3=nan", "kappa3 and kappa4 must be finite"),
         ("id:kappa4=inf", "kappa3 and kappa4 must be finite"),
         ("stable:beta=nan", "|beta| must be <= 1"),
+        ("gh:beta=inf", "beta must be finite"),
     ])
     def test_non_finite_parameter_exits_2_before_any_tabulation(self, uni_csv, tmp_path, capsys,
                                                                monkeypatch, spec, message):
@@ -96,6 +100,10 @@ class TestParseScore:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert inverted == []
         assert not list(tmp_path.glob("*.lbical"))
+
+    def test_a_kind_without_its_key_is_malformed(self):
+        with pytest.raises(ValueError, match=r"^malformed score string 'gh:'$"):
+            parse_score("gh:")
 
 
 class TestReadCsv:
@@ -119,6 +127,19 @@ class TestReadCsv:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ParseError):
+            read_csv(path)
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("x,y\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no data rows$"):
+            read_csv(path)
+
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        # the decoder's message alone named no file
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"x\n1.5\n\xd8\xff\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             read_csv(path)
 
 
@@ -170,6 +191,18 @@ class TestRunTest:
             "--reps", "2000",
         ])
         assert code == 2
+
+    def test_mvn_on_one_column_is_refused(self, uni_csv, capsys):
+        assert main(["test", "--input", str(uni_csv), "--test", "mvn", "--seed", "1",
+                     "--reps", "1000"]) == 2
+        assert capsys.readouterr().err == "error: --test mvn requires multi-column input\n"
+
+    def test_fresh_seed_without_seed(self, uni_csv, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["test", "--input", str(uni_csv), "--test", "kurt", "--reps", "1000",
+                     "--json", str(out)]) == 0
+        seed = json.loads(out.read_text())["calibration"]["seed"]
+        assert type(seed) is int and 0 <= seed < 2**32
 
     def test_reproducible_requires_seed(self, uni_csv):
         code = main([
@@ -292,6 +325,15 @@ class TestRunCalibrate:
             assert captured.out == ""
             assert captured.err == f"error: --p must be >= 2 for --test mvn, got {p}\n"
         assert not list(tmp_path.glob("*.lbical"))
+
+    def test_empty_cache_directory_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["calibrate", "--test", "kurt", "--n", "20", "--reps", "1000", "--seed", "1",
+                     "--calibration-cache="]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: calibrate requires --calibration-cache\n"
+        assert not list(tmp_path.iterdir())
 
     def test_test_command_reuses_cache(self, uni_csv, tmp_path):
         cache = tmp_path / "cache"
@@ -420,6 +462,64 @@ class TestBadInput:
         cache_path(cache, "kurt", 20, 1, 1000, 1).write_bytes(b"LBICAL1")
         code, err = self._run(uni_csv, capsys, "--calibration-cache", str(cache))
         assert code == 2 and "shorter than its 48-byte header" in err
+
+    def test_cache_payload_of_another_size_names_the_file(self, uni_csv, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["calibrate", "--test", "kurt", "--n", "20", "--reps", "1000", "--seed", "1",
+                     "--calibration-cache", str(cache)]) == 0
+        (built,) = cache.glob("*.lbical")
+        built.write_bytes(built.read_bytes()[:-3])
+        capsys.readouterr()
+        code, err = self._run(uni_csv, capsys, "--calibration-cache", str(cache))
+        assert code == 2
+        assert err == (f"error: {built}: cache payload holds 7997 bytes, "
+                       "not the 8000 of 1000 float64 values\n")
+
+    def test_input_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(bytes(np.random.default_rng(3).integers(128, 256, 200, dtype=np.uint8)))
+        code, err = self._run(path, capsys)
+        assert code == 2 and err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+    @pytest.mark.parametrize("command, n", [("calibrate", "-5"), ("calibrate", "2"),
+                                            ("power", "2"), ("power", "0")])
+    def test_fewer_than_three_observations_refused_before_any_draw(self, tmp_path, capsys,
+                                                                   monkeypatch, command, n):
+        # -5 got numpy's "negative dimensions are not allowed", 0 and 2 the
+        # standardizer's refusal after a first chunk was drawn
+        drawn = []
+        monkeypatch.setattr(cal_mod, "replications", lambda *args: drawn.append(args))
+        cache = tmp_path / "pc"
+        cache.mkdir()
+        power = ["--family", "laplace", "--shapes", "0.2"] if command == "power" else []
+        code = main([command, "--test", "kurt", "--n", n, *power, "--reps", "1000", "--seed", "1",
+                     "--calibration-cache", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: need at least 3 observations, got {n}\n"
+        assert drawn == [] and not list(cache.iterdir())
+
+    @pytest.mark.parametrize("where", ["input", "json", "out", "cache"])
+    def test_a_path_argument_that_cannot_be_written_or_read_exits_2(self, uni_csv, tmp_path,
+                                                                     capsys, where):
+        # each escaped as a traceback with exit 1
+        spot = tmp_path / "spot"
+        if where == "cache":
+            spot.write_text("")
+        else:
+            spot.mkdir()
+        argv = {
+            "input": ["test", "--input", str(spot)],
+            "json": ["test", "--input", str(uni_csv), "--json", str(spot)],
+            "out": ["power", "--n", "10", "--family", "laplace", "--shapes", "0.2",
+                    "--power-reps", "100", "--out", str(spot)],
+            "cache": ["calibrate", "--n", "10", "--calibration-cache", str(spot)],
+        }[where]
+        code = main([*argv, "--test", "kurt", "--reps", "1000", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        failure = errno.EEXIST if where == "cache" else errno.EISDIR
+        assert captured.err == f"error: {OSError(failure, os.strerror(failure), str(spot))}\n"
 
     @pytest.mark.parametrize("seed", [str(2**64), str(2**70), "-1"])
     @pytest.mark.parametrize("command", ["calibrate", "test", "power"])

@@ -129,6 +129,12 @@ class TestHermite:
         assert isinstance(hermite(3, 1.0), float)
         assert hermite(0, np.array([1.0, 2.0])).shape == (2,)
 
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            hermite(-1, np.array([0.5]))
+        with pytest.raises(ValueError, match="^order must be nonnegative$"):
+            hermite_coefficients(-1)
+
 
 class TestCoefficientC:
     def test_closed_form_values(self):
@@ -144,6 +150,12 @@ class TestCoefficientC:
                 val, _ = quad(lambda x: x**l * math.exp(-n * x * x / 2.0), 0, np.inf)
                 np.testing.assert_allclose(coefficient_c(l, n), val, rtol=1e-9)
 
+    @pytest.mark.parametrize("l, n, message", [(-1, 5, "l must be nonnegative"),
+                                               (2, 0, "n must be >= 1")])
+    def test_out_of_range_arguments_refused(self, l, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coefficient_c(l, n)
+
 
 class TestNullDenominatorConstant:
     def test_small_n_closed_forms(self):
@@ -155,6 +167,10 @@ class TestNullDenominatorConstant:
             math.gamma(2.0) / (2.0 * 5**2.5 * math.pi**2),
             rtol=1e-14,
         )
+
+    def test_fewer_than_three_refused(self):
+        with pytest.raises(ValueError, match="^n must be >= 3$"):
+            null_denominator_constant(2)
 
     def test_quadrature_oracle_n10(self):
         # with sum z = 0 and sum z^2 = n, prod phi(a + b z_i) equals

@@ -130,6 +130,12 @@ class TestScoreContamination:
         with pytest.raises(InvalidDensity):
             score_contamination(lambda x: 2.0 * np.exp(-np.abs(x)))
 
+    def test_negative_density_rejected(self):
+        # phi(x) (3 - 2 x^2) integrates to 1 but is negative beyond |x| = sqrt(3/2)
+        density = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * (3.0 - 2.0 * x * x)
+        with pytest.raises(InvalidDensity, match="^density takes negative values$"):
+            score_contamination(density)
+
     def test_symmetric_density_gives_even_score(self):
         s = score_contamination(builtin_contaminations()["laplace-unit"])
         x = np.random.default_rng(3).uniform(0.0, 8.0, size=100)
@@ -192,6 +198,12 @@ class TestOrthogonalize:
     def test_stable_score_rejected(self, stable_score0):
         with pytest.raises(NotSquareIntegrable):
             orthogonalize(stable_score0)
+
+    def test_heavy_tailed_contamination_rejected(self):
+        # a Cauchy contamination's score grows like exp(x^2/2): its projection diverges
+        cauchy = score_contamination(lambda x: 1.0 / (math.pi * (1.0 + x * x)))
+        with pytest.raises(NotSquareIntegrable, match="^Gauss-Hermite projection did not converge$"):
+            orthogonalize(cauchy)
 
     def test_rank_invariance_of_exact_statistic(self, poly_score):
         # orthogonalization changes the exact statistic only by a

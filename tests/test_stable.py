@@ -80,6 +80,10 @@ class TestDcfDalphaAt2:
     def test_defined_as_zero_at_origin(self):
         assert dcf_dalpha_at_2(0.0, 0.7) == 0.0
 
+    def test_beta_outside_unit_interval_refused(self):
+        with pytest.raises(ValueError, match=r"^\|beta\| must be <= 1$"):
+            dcf_dalpha_at_2(1.0, 2.0)
+
 
 class TestInversionConfig:
     def test_validation(self):
