@@ -97,7 +97,7 @@ class TestMakeStatistic:
     @pytest.mark.parametrize("name, kwargs, message", [
         ("mvn", {"group": "x"}, "group must be 'gl' or 'lt'"),
         ("nope", {"score": score_hermite(4)}, "unknown statistic 'nope'"),
-    ])
+    ], ids=["group", "name"])
     def test_unknown_name_or_group_refused(self, name, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_statistic(name, **kwargs)

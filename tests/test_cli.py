@@ -135,13 +135,6 @@ class TestReadCsv:
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no data rows$"):
             read_csv(path)
 
-    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
-        # the decoder's message alone named no file
-        path = tmp_path / "binary.csv"
-        path.write_bytes(b"x\n1.5\n\xd8\xff\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
-            read_csv(path)
-
 
 class TestRunTest:
     def test_closed_form_happy_path(self, uni_csv, tmp_path, capsys):
@@ -476,6 +469,7 @@ class TestBadInput:
                        "not the 8000 of 1000 float64 values\n")
 
     def test_input_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        # the decoder's message alone named no file
         path = tmp_path / "binary.csv"
         path.write_bytes(bytes(np.random.default_rng(3).integers(128, 256, 200, dtype=np.uint8)))
         code, err = self._run(path, capsys)
