@@ -346,9 +346,9 @@ def load_calibration(path, statistic_label: str, fingerprint: str = "") -> NullC
         raise ValueError(f"{path}: calibration cache shorter than its {head}-byte header")
     magic, version, lhash, n, p, reps, seed = struct.unpack(_HEADER, raw[:head])
     if magic != _MAGIC or version != _VERSION:
-        raise ValueError("not a calibration cache file")
+        raise ValueError(f"{path}: not a calibration cache file")
     if lhash != _label_hash(statistic_label, fingerprint):
-        raise ValueError("cache belongs to a different statistic")
+        raise ValueError(f"{path}: cache belongs to a different statistic")
     if len(raw) - head != 8 * reps:
         raise ValueError(f"{path}: cache payload holds {len(raw) - head} bytes, "
                          f"not the {8 * reps} of {reps} float64 values")

@@ -1,7 +1,8 @@
 """Command-line front end: CSV in, JSON report or CSV power table out.
 
 Exit codes: 0 success, 2 input error (any other ``LbinormError``, a
-``ValueError``, or an ``OSError`` from a path argument), 3 numerical failure
+``ValueError``, or any ``OSError``: a file-system or I/O failure, such as a
+path argument that cannot be read or written), 3 numerical failure
 (``errors.NumericalError``).
 
 A process loads only what its command runs: ``scores`` when a score is

@@ -410,7 +410,7 @@ class TestCache:
         raw = bytearray(path.read_bytes())
         raw[offset:offset + 1] = byte
         path.write_bytes(raw)
-        with pytest.raises(ValueError, match="^not a calibration cache file$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a calibration cache file$"):
             load_calibration(path, cal.statistic_label)
 
     @pytest.mark.parametrize("change", [-3, -8, 8])

@@ -2,21 +2,19 @@
 
 Usage (from anywhere):
 
-    python3 tools/uncovered.py [pytest argument ...]
+    python3 tools/uncovered.py
 
-Needs no coverage package.  Runs ``python -m pytest -q
---continue-on-collection-errors [pytest argument ...]`` from the checkout's
-root in a subprocess, with a ``sitecustomize`` module in a temporary
-directory first on ``PYTHONPATH``.  Enabled by the ``LBINORM_TRACE_OUT``
-environment variable, that module records the lines of ``src/lbinorm`` that
-its process executes, through ``sys.settrace`` and ``threading.settrace``,
-and writes them at exit to one JSON file per process id, so the CLI
-processes that the tests start count too.  The tool then prints the first
-line of every statement (docstrings excluded) no line of which any process
-executed, and their count.
+Needs no coverage package.  Runs the Tier-1 command, ``python -m pytest -q
+--continue-on-collection-errors``, from the checkout's root in a subprocess,
+with a ``sitecustomize`` module in a temporary directory first on
+``PYTHONPATH``.  Enabled by the ``LBINORM_TRACE_OUT`` environment variable,
+that module records the lines of ``src/lbinorm`` that its process executes,
+through ``sys.settrace`` and ``threading.settrace``, and writes them at exit
+to one JSON file per process id, so the CLI processes that the tests start
+count too.  The tool then prints the first line of every statement
+(docstrings excluded) no line of which any process executed, and their count.
 """
 
-import argparse
 import ast
 import json
 import os
@@ -129,13 +127,9 @@ def uncovered(executed: dict, package=PACKAGE) -> list:
     return sorted(rows)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("pytest_args", nargs=argparse.REMAINDER,
-                    help="passed to pytest after the Tier-1 command's own")
-    args = ap.parse_args(argv)
+def main() -> int:
     proc, executed = trace([sys.executable, "-m", "pytest", "-q",
-                            "--continue-on-collection-errors", *args.pytest_args], cwd=ROOT)
+                            "--continue-on-collection-errors"], cwd=ROOT)
     rows = uncovered(executed)
     for path, line, text in rows:
         print(f"{path.relative_to(ROOT)}:{line}: {text}")
